@@ -11,9 +11,10 @@ from .oracle import brute_force, check_model, is_satisfiable_extend
 from .search import (SolveResult, TimeLimitReached, Tracer, choose_literal,
                      complete_model, set_literal, solve, step)
 from .state import (FALSE, TRUE, UNSET, SolverState, build_state,
-                    check_state_invariants, get_literal_value,
-                    has_empty_clause, is_formula_satisfied, set_variable,
-                    undo_last_layer, unset_variable)
+                    check_state_invariants, first_open_clause,
+                    get_literal_value, has_empty_clause,
+                    is_formula_satisfied, set_variable, undo_last_layer,
+                    unset_variable)
 from .trail import Trail, check_trail_invariants
 
 __all__ = [
@@ -23,8 +24,8 @@ __all__ = [
     "brute_force", "build_formula", "build_state", "check_model",
     "check_state_invariants", "check_trail_invariants", "choose_literal",
     "complete_model", "decode_literal", "encode_literal",
-    "get_literal_value", "has_empty_clause", "is_formula_satisfied",
-    "is_satisfiable_extend", "negate_literal", "normalize_clause",
+    "first_open_clause", "get_literal_value", "has_empty_clause",
+    "is_formula_satisfied", "is_satisfiable_extend", "negate_literal", "normalize_clause",
     "parse_dimacs", "set_literal", "set_variable", "solve", "step",
     "to_dimacs", "undo_last_layer", "unset_variable",
 ]

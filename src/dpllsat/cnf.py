@@ -114,7 +114,9 @@ def parse_dimacs(text):
     whitespace-separated integer clauses terminated by 0 (clauses may span
     lines).  DIMACS literal k maps to internal code k unchanged.  A header
     clause count that disagrees with the file is a DimacsWarning, not an
-    error.
+    error.  A line starting with `%` ends the clause data, and the rest of
+    the text is ignored: the SATLIB uniform-random files end with `%` and
+    a stray `0`.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -128,6 +130,8 @@ def parse_dimacs(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            break
         if stripped.startswith("p"):
             if variables_count is not None:
                 raise DimacsError("duplicate 'p cnf' header", lineno)

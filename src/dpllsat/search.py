@@ -3,6 +3,13 @@
 The search recurses once per decision.  Unit propagation runs as a work
 queue inside the current layer, so recursion depth is bounded by the number
 of variables.
+
+Each search node carries a clause cursor `start`: every clause below it has
+a true literal.  A node finds its lowest open clause by scanning from its
+parent's cursor and hands that index to its children.  This holds because a
+child only adds assignments, and true counts never fall while the trail
+grows.  So a root-to-leaf path scans each clause at most once, and the
+conflict test is an O(1) counter read.
 """
 
 import sys
@@ -11,8 +18,8 @@ from dataclasses import dataclass
 
 from ._contracts import ContractError, require
 from .cnf import decode_literal
-from .state import (TRUE, UNSET, get_literal_value, has_empty_clause,
-                    is_formula_satisfied, set_variable, undo_last_layer)
+from .state import (TRUE, UNSET, first_open_clause, get_literal_value,
+                    has_empty_clause, set_variable, undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -55,15 +62,20 @@ class Tracer:
         return None
 
 
-def choose_literal(state):
-    """First unset literal of the lowest-index unsatisfied clause."""
+def choose_literal(state, start=0):
+    """First unset literal of the lowest-index unsatisfied clause.
+
+    `start` is a clause cursor (see the module docstring): no clause below
+    it may be unsatisfied.
+    """
     require(not has_empty_clause(state), "conflict present, nothing to decide")
-    tau = state.truth_assignment
-    for index, count in enumerate(state.true_literals_count):
-        if count == 0:
-            for literal in state.formula.clauses[index]:
-                if get_literal_value(tau, literal) == UNSET:
-                    return literal
+    index = first_open_clause(state, start)
+    if index is not None:
+        tau = state.truth_assignment
+        # not fully false, so the open clause has an unset literal
+        for literal in state.formula.clauses[index]:
+            if get_literal_value(tau, literal) == UNSET:
+                return literal
     raise ContractError("no unsatisfied clause, nothing to decide")
 
 
@@ -125,23 +137,26 @@ def complete_model(truth_assignment):
     return tuple(value == TRUE for value in truth_assignment)
 
 
-def step(state, literal, value, deadline=None, depth=0):
+def step(state, literal, value, deadline=None, depth=0, start=0):
     """One decision: new layer, set the literal, recurse, undo the layer.
 
-    Returns the child verdict; the state is restored exactly, even on SAT.
+    `start` is the clause cursor handed to the child node.  Returns the
+    child verdict; the state is restored exactly, even on SAT.
     """
     require(literal != 0, "invalid literal")
     before = state.snapshot() if state.checked else None
     unset_before = state.unset_count
     variable, positive = decode_literal(literal)
-    state.trail.new_layer()
     if state.tracer is not None:
         state.tracer.emit(("decide", variable,
                            value if positive else not value))
+    # the layer is opened just before its first entry, so an exception
+    # never leaves an empty layer on the trail for solve to unwind
+    state.trail.new_layer()
     set_literal(state, literal, value)
     require(state.unset_count < unset_before,
             "decision must reduce the unset-variable count")
-    result = _solve(state, deadline, depth + 1)
+    result = _solve(state, deadline, depth + 1, start)
     undo_last_layer(state)
     if state.tracer is not None:
         state.tracer.emit(("backtrack", state.trail.size))
@@ -150,22 +165,23 @@ def step(state, literal, value, deadline=None, depth=0):
     return result
 
 
-def _solve(state, deadline, depth):
+def _solve(state, deadline, depth, start):
     if deadline is not None and time.monotonic() >= deadline:
         raise TimeLimitReached()
     require(depth <= state.formula.variables_count,
             "recursion depth exceeds variable count")
     if has_empty_clause(state):
         return SolveResult(False)
-    if is_formula_satisfied(state):
+    start = first_open_clause(state, start)
+    if start is None:
         if state.tracer is not None:
             state.tracer.emit(("sat", tuple(state.truth_assignment)))
         return SolveResult(True, complete_model(state.truth_assignment))
-    literal = choose_literal(state)
-    result = step(state, literal, True, deadline, depth)
+    literal = choose_literal(state, start)
+    result = step(state, literal, True, deadline, depth, start)
     if result.satisfiable:
         return result
-    result = step(state, literal, False, deadline, depth)
+    result = step(state, literal, False, deadline, depth, start)
     if not result.satisfiable and state.tracer is not None:
         state.tracer.emit(("branch_unsat",
                            tuple(state.truth_assignment)
@@ -176,15 +192,27 @@ def _solve(state, deadline, depth):
 def solve(state, time_limit=None):
     """Full DPLL search from the current (usually all-unset) state.
 
-    Returns SolveResult; the state is left exactly as it was on entry.
-    Raises TimeLimitReached if the optional time limit (seconds) expires;
-    the state is then not guaranteed to be restored.
+    Returns SolveResult.  Raises TimeLimitReached if the optional time limit
+    (seconds) expires.  Either way the state is left exactly as it was on
+    entry: if the search or its tracer raises, every trail layer the search
+    opened is undone before the exception propagates.  KeyboardInterrupt
+    and other asynchronous interrupts can strike in the middle of a counter
+    update, so they are not unwound and the state must be rebuilt.  The
+    interpreter's recursion limit is raised for the search and restored
+    afterwards.
     """
     deadline = None
     if time_limit is not None:
         require(time_limit > 0, "time limit must be positive")
         deadline = time.monotonic() + time_limit
-    needed = 8 * state.formula.variables_count + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    return _solve(state, deadline, 0)
+    layers = state.trail.size
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 8 * state.formula.variables_count + 200))
+    try:
+        return _solve(state, deadline, 0, 0)
+    except Exception:
+        while state.trail.size > layers:
+            undo_last_layer(state)
+        raise
+    finally:
+        sys.setrecursionlimit(limit)

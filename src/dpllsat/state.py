@@ -1,10 +1,18 @@
 """Mutable search state: truth values, per-clause counters, occurrence lists.
 
-The counters make the hot questions O(1): a clause is satisfied iff its
-true-literal count is positive, fully false iff its false-literal count
-equals its length, and unit iff the false count is one short of the length
-with no true literal.  Counter updates touch only the clauses listed in the
-assigned variable's occurrence lists, never the whole clause database.
+The counters answer the per-clause questions in O(1): a clause is satisfied
+iff its true-literal count is positive, fully false iff its false-literal
+count equals its length, and unit iff the false count is one short of the
+length with no true literal.  Counter updates touch only the clauses listed
+in the assigned variable's occurrence lists, never the whole clause
+database.
+
+The whole-formula questions are cheap too.  `false_clauses_count` holds the
+number of fully-false clauses, kept up to date by the same counter updates,
+so the conflict test is O(1).  `first_open_clause` scans for a clause with
+no true literal from a caller-supplied start index; true counts only grow
+as the trail grows, so a search can resume each scan where its parent node
+stopped.
 """
 
 from ._contracts import ContractError, require
@@ -42,6 +50,7 @@ class SolverState:
         self.true_literals_count = [0] * len(formula.clauses)
         self.false_literals_count = [0] * len(formula.clauses)
         self.clause_lengths = [len(c) for c in formula.clauses]
+        self.false_clauses_count = 0  # clauses with every literal false
         self.unset_count = n
         self.tracer = None
         positive = [[] for _ in range(n)]
@@ -65,7 +74,7 @@ class SolverState:
         """Cheap copy of the observable state, for restoration checks."""
         return (self.trail.size, tuple(self.truth_assignment),
                 tuple(self.true_literals_count),
-                tuple(self.false_literals_count))
+                tuple(self.false_literals_count), self.false_clauses_count)
 
 
 def build_state(formula, checked=False):
@@ -81,18 +90,24 @@ def set_variable(state, variable, value):
     state.trail.push_entry(variable, value)
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
+    lengths = state.clause_lengths
     if value:
         tau[variable] = TRUE
-        for index in state.positive_occurrences[variable]:
-            true_counts[index] += 1
-        for index in state.negative_occurrences[variable]:
-            false_counts[index] += 1
+        satisfied = state.positive_occurrences[variable]
+        falsified = state.negative_occurrences[variable]
     else:
         tau[variable] = FALSE
-        for index in state.positive_occurrences[variable]:
-            false_counts[index] += 1
-        for index in state.negative_occurrences[variable]:
-            true_counts[index] += 1
+        satisfied = state.negative_occurrences[variable]
+        falsified = state.positive_occurrences[variable]
+    for index in satisfied:
+        true_counts[index] += 1
+    emptied = 0
+    for index in falsified:
+        count = false_counts[index] + 1
+        false_counts[index] = count
+        if count == lengths[index]:
+            emptied += 1
+    state.false_clauses_count += emptied
     state.unset_count -= 1
     if state.checked:
         state.assert_valid()
@@ -106,20 +121,25 @@ def unset_variable(state, variable):
     """
     tau = state.truth_assignment
     require(tau[variable] != UNSET, "variable %d is not set" % variable)
-    was_true = tau[variable] == TRUE
+    if tau[variable] == TRUE:
+        satisfied = state.positive_occurrences[variable]
+        falsified = state.negative_occurrences[variable]
+    else:
+        satisfied = state.negative_occurrences[variable]
+        falsified = state.positive_occurrences[variable]
     tau[variable] = UNSET
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
-    if was_true:
-        for index in state.positive_occurrences[variable]:
-            true_counts[index] -= 1
-        for index in state.negative_occurrences[variable]:
-            false_counts[index] -= 1
-    else:
-        for index in state.positive_occurrences[variable]:
-            false_counts[index] -= 1
-        for index in state.negative_occurrences[variable]:
-            true_counts[index] -= 1
+    lengths = state.clause_lengths
+    for index in satisfied:
+        true_counts[index] -= 1
+    emptied = 0
+    for index in falsified:
+        count = false_counts[index]
+        if count == lengths[index]:
+            emptied += 1
+        false_counts[index] = count - 1
+    state.false_clauses_count -= emptied
     state.unset_count += 1
 
 
@@ -134,28 +154,39 @@ def undo_last_layer(state):
 
 
 def has_empty_clause(state):
-    """True iff some clause has every literal false (a conflict)."""
-    lengths = state.clause_lengths
-    false_counts = state.false_literals_count
-    for index in range(len(lengths)):
-        if false_counts[index] == lengths[index]:
-            return True
-    return False
+    """True iff some clause has every literal false (a conflict).  O(1)."""
+    return state.false_clauses_count > 0
+
+
+def first_open_clause(state, start=0):
+    """Lowest index >= start of a clause with no true literal, or None.
+
+    A clause whose true count is positive stays satisfied while the trail
+    only grows, so the index this returns at a search node is a valid start
+    for every node below it.  Checked mode asserts that no clause below
+    start is open.
+    """
+    true_counts = state.true_literals_count
+    if state.checked:
+        require(0 not in true_counts[:start],
+                "an open clause lies below start %d" % start)
+    try:
+        return true_counts.index(0, start)
+    except ValueError:
+        return None
 
 
 def is_formula_satisfied(state):
     """True iff every clause has at least one true literal."""
-    for count in state.true_literals_count:
-        if count == 0:
-            return False
-    return True
+    return first_open_clause(state, 0) is None
 
 
 def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
     Covers the trail invariants, the trail/assignment coherence, both
-    counter arrays, and the occurrence lists.  Pure; returns a boolean.
+    counter arrays, the fully-false clause count, and the occurrence lists.
+    Pure; returns a boolean.
     """
     formula = state.formula
     n = formula.variables_count
@@ -174,6 +205,7 @@ def check_state_invariants(state):
     if (len(state.true_literals_count) != len(formula.clauses)
             or len(state.false_literals_count) != len(formula.clauses)):
         return False
+    false_clauses = 0
     for index, clause in enumerate(formula.clauses):
         true_count = 0
         false_count = 0
@@ -187,6 +219,10 @@ def check_state_invariants(state):
             return False
         if state.false_literals_count[index] != false_count:
             return False
+        if false_count == len(clause):
+            false_clauses += 1
+    if state.false_clauses_count != false_clauses:
+        return False
     positive = [[] for _ in range(n)]
     negative = [[] for _ in range(n)]
     for index, clause in enumerate(formula.clauses):

@@ -56,6 +56,15 @@ class TestRun:
         assert code == EXIT_SAT
         assert "warning" in captured.err
 
+    def test_satlib_percent_terminator(self, tmp_path, capsys):
+        # the uf*/uuf* files of SATLIB end with "%" and a lone "0"
+        text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+        code = main([write_cnf(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert code == EXIT_SAT
+        assert captured.err == ""
+        assert check_model(parse_dimacs(text), parse_model_line(captured.out))
+
     def test_timeout_prints_unknown(self, tmp_path, capsys):
         # pigeonhole with 10 holes is far beyond this solver in 50 ms
         path = write_cnf(tmp_path, to_dimacs(generate_pigeonhole(10)))

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,17 @@ class TestParseDimacs:
     def test_missing_header(self):
         with pytest.raises(DimacsError, match="header"):
             parse_dimacs("1 2 0\n")
+
+    def test_satlib_percent_ends_clause_data(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DimacsWarning)
+            f = parse_dimacs("c SATLIB\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+                             "%\n0\n\n")
+        assert f.clauses == ((1, -2, 3), (-1, 2))
+
+    def test_percent_does_not_close_an_open_clause(self):
+        with pytest.raises(DimacsError, match="terminating 0"):
+            parse_dimacs("p cnf 2 1\n1 2\n%\n0\n")
 
     def test_error_carries_line_number(self):
         with pytest.raises(DimacsError, match="line 3"):

@@ -36,7 +36,9 @@ class TestBruteForce:
         assert brute_force(build_formula(2, [])) == (False, False)
 
     def test_cap_enforced(self):
-        f = build_formula(25, [[1]])
+        # x1 false satisfies it, so the False-first enumeration returns the
+        # first assignment it tries
+        f = build_formula(25, [[-1]])
         with pytest.raises(OracleCapExceeded):
             brute_force(f)
         assert brute_force(f, cap=25) is not None

@@ -1,9 +1,15 @@
+import sys
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
-from dpllsat import (TRUE, UNSET, ContractError, Tracer, brute_force,
-                     build_formula, build_state, check_model, choose_literal,
-                     complete_model, is_satisfiable_extend, set_literal,
-                     solve, step)
+import dpllsat.search
+from dpllsat import (TRUE, UNSET, ContractError, TimeLimitReached, Tracer,
+                     brute_force, build_formula, build_state, check_model,
+                     check_state_invariants, choose_literal, complete_model,
+                     is_satisfiable_extend, set_literal, solve, step)
+from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import example1, make_rng, random_formula, solve_formula
 
 
@@ -237,3 +243,121 @@ class TestLemmaProperties:
             assert result.satisfiable == (oracle_model is not None)
             if result.satisfiable:
                 assert check_model(f, result.model)
+
+
+def work_counters(events):
+    """(decisions, propagations, conflicts, max depth) of a trace.
+
+    A conflict is a decision that reaches its backtrack with no further
+    decision and no model found in between.
+    """
+    decisions = propagations = conflicts = depth = max_depth = 0
+    leaf = False
+    for event in events:
+        kind = event[0]
+        if kind == "propagate":
+            propagations += 1
+        elif kind == "decide":
+            decisions += 1
+            depth += 1
+            max_depth = max(max_depth, depth)
+            leaf = True
+        elif kind == "backtrack":
+            conflicts += leaf
+            leaf = False
+            depth -= 1
+        elif kind == "sat":
+            leaf = False
+    return decisions, propagations, conflicts, max_depth
+
+
+class TestPinnedSearchTree:
+    # recorded before the per-node clause scans were replaced by the O(1)
+    # conflict count and the open-clause cursor; any change to these
+    # numbers is a change of the search tree, not of its speed
+    @pytest.mark.parametrize("formula, verdict, counters, kinds", [
+        (generate_pigeonhole(6), "UNSAT", (1438, 9058, 720, 15),
+         {"decide": 1438, "propagate": 9058, "backtrack": 1438,
+          "branch_unsat": 719}),
+        (generate_queens(8), "SAT", (50, 416, 24, 8),
+         {"decide": 50, "propagate": 416, "backtrack": 50,
+          "branch_unsat": 19, "sat": 1}),
+    ], ids=["php6", "queens8"])
+    def test_work_counters(self, formula, verdict, counters, kinds):
+        tracer = Tracer()
+        result, _ = solve_formula(formula, tracer=tracer)
+        assert result.verdict == verdict
+        assert work_counters(tracer.events) == counters
+        assert Counter(event[0] for event in tracer.events) == kinds
+
+
+class RaisingTracer(Tracer):
+    """Tracer that raises on its n-th event."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def emit(self, event):
+        super().emit(event)
+        if len(self.events) == self.n:
+            raise KeyError(event[0])
+
+
+class TestExceptionSafeSolve:
+    def test_timed_out_solve_restores_state(self, monkeypatch):
+        formula = generate_queens(8)
+        state = build_state(formula)
+        before = state.snapshot()
+        calls = []
+
+        def clock():
+            # one call sets the deadline, then one per search node; the
+            # 30th node sees the deadline expired
+            calls.append(state.trail.size)
+            return 0.0 if len(calls) < 31 else 1e9
+
+        monkeypatch.setattr(dpllsat.search, "time",
+                            SimpleNamespace(monotonic=clock))
+        with pytest.raises(TimeLimitReached):
+            solve(state, time_limit=1.0)
+        monkeypatch.undo()
+        assert calls[-1] > 0  # the deadline struck with layers open
+        assert state.snapshot() == before
+        assert check_state_invariants(state)
+        result = solve(state)
+        assert result.verdict == "SAT"
+        assert check_model(formula, result.model)
+        assert state.snapshot() == before
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_exception_from_tracer_restores_state(self, checked):
+        formula = generate_queens(4)  # 45 events, with every kind
+        reference = Tracer()
+        expected, _ = solve_formula(formula, tracer=reference)
+        kinds = set()
+        for n in range(1, len(reference.events) + 1):
+            state = build_state(formula, checked=checked)
+            before = state.snapshot()
+            state.tracer = RaisingTracer(n)
+            with pytest.raises(KeyError) as raised:
+                solve(state)
+            kinds.add(raised.value.args[0])
+            assert state.snapshot() == before
+            assert check_state_invariants(state)
+            state.tracer = None
+            assert solve(state) == expected
+        assert kinds == {"decide", "propagate", "backtrack", "branch_unsat",
+                         "sat"}
+
+    def test_recursion_limit_restored(self):
+        original = sys.getrecursionlimit()
+        for limit in (original, 400):  # 400 is below what both need
+            sys.setrecursionlimit(limit)
+            try:
+                for formula, verdict in [(generate_pigeonhole(5), "UNSAT"),
+                                         (generate_queens(8), "SAT")]:
+                    assert solve(build_state(formula)).verdict == verdict
+                    assert sys.getrecursionlimit() == limit
+            finally:
+                sys.setrecursionlimit(original)

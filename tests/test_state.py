@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
-                     build_state, check_state_invariants, get_literal_value,
-                     has_empty_clause, is_formula_satisfied,
-                     is_satisfiable_extend, parse_dimacs, set_variable,
-                     undo_last_layer, unset_variable)
-from helpers import example1
+                     build_state, check_state_invariants, first_open_clause,
+                     get_literal_value, has_empty_clause,
+                     is_formula_satisfied, is_satisfiable_extend,
+                     parse_dimacs, set_variable, undo_last_layer,
+                     unset_variable)
+from helpers import example1, make_rng, random_formula
 
 
 def fresh_example1_state(checked=False):
@@ -146,6 +147,45 @@ class TestClauseStatus:
         set_variable(s, 0, True)
         assert is_formula_satisfied(s)
 
+    def test_conflict_count_follows_set_and_unset(self):
+        s = build_state(build_formula(2, [[1, 2], [-1], [2]]))
+        s.trail.new_layer()
+        set_variable(s, 0, True)   # clause 2 fully false
+        assert s.false_clauses_count == 1
+        set_variable(s, 1, False)  # clause 3 fully false too
+        assert s.false_clauses_count == 2
+        unset_variable(s, 1)
+        assert s.false_clauses_count == 1
+        unset_variable(s, 0)
+        assert s.false_clauses_count == 0
+        assert not has_empty_clause(s)
+
+
+class TestFirstOpenClause:
+    def test_example1_cursor(self):
+        s = fresh_example1_state(checked=True)
+        assert first_open_clause(s) == 0
+        s.trail.new_layer()
+        set_variable(s, 0, True)   # satisfies clause 1 only
+        assert first_open_clause(s) == 1
+        assert first_open_clause(s, 1) == 1
+        set_variable(s, 1, False)  # satisfies clause 2
+        assert first_open_clause(s, 1) == 2
+
+    def test_none_when_all_satisfied(self):
+        s = build_state(build_formula(1, [[1]]))
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        assert first_open_clause(s) is None
+        assert first_open_clause(s, 1) is None
+
+    def test_checked_mode_rejects_start_past_an_open_clause(self):
+        s = fresh_example1_state(checked=True)
+        with pytest.raises(ContractError):
+            first_open_clause(s, 1)
+        # unchecked mode trusts the caller's cursor
+        assert first_open_clause(fresh_example1_state(), 1) == 1
+
 
 class TestStateInvariantChecker:
     def test_holds_after_public_operations(self):
@@ -166,6 +206,54 @@ class TestStateInvariantChecker:
         s = fresh_example1_state()
         s.truth_assignment[0] = TRUE
         assert not check_state_invariants(s)
+
+    def test_corrupted_false_clause_count_detected(self):
+        s = fresh_example1_state()
+        s.false_clauses_count += 1
+        assert not check_state_invariants(s)
+        s = build_state(build_formula(1, [[1], [1, 1]]))
+        s.trail.new_layer()
+        set_variable(s, 0, False)  # both clauses fully false
+        assert check_state_invariants(s)
+        s.false_clauses_count -= 1
+        assert not check_state_invariants(s)
+
+
+def test_status_queries_match_scans_on_random_walk():
+    # seeded walk of set_variable / undo_last_layer; after every step the
+    # O(1) conflict test and the cursor agree with from-scratch scans
+    rng = make_rng(4242)
+    steps = 0
+    for _ in range(60):
+        f = random_formula(rng, min_vars=3, max_vars=12, max_clauses=40,
+                           max_len=3)
+        if f.trivially_unsat:
+            continue
+        s = build_state(f)
+        for _ in range(80):
+            unset = [v for v, t in enumerate(s.truth_assignment)
+                     if t == UNSET]
+            if s.trail.size and (not unset or rng.random() < 0.3):
+                undo_last_layer(s)
+            else:
+                if s.trail.size == 0 or rng.random() < 0.5:
+                    s.trail.new_layer()
+                set_variable(s, rng.choice(unset), rng.random() < 0.5)
+            tau = s.truth_assignment
+            values = [[get_literal_value(tau, lit) for lit in clause]
+                      for clause in f.clauses]
+            assert has_empty_clause(s) == any(
+                all(v == FALSE for v in vs) for vs in values)
+            open_ = [i for i, vs in enumerate(values) if TRUE not in vs]
+            first = open_[0] if open_ else None
+            assert first_open_clause(s) == first
+            assert is_formula_satisfied(s) == (first is None)
+            start = rng.randint(0, len(f.clauses) if first is None
+                                else first)
+            assert first_open_clause(s, start) == first
+            assert check_state_invariants(s)
+            steps += 1
+    assert steps > 3000
 
 
 def _formula_strategy(draw, st_, max_vars=6, max_clauses=10):
