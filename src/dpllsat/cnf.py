@@ -75,7 +75,8 @@ class CnfFormula:
     trivially_unsat: bool = False
 
     def __post_init__(self):
-        require(self.variables_count > 0, "variables_count must be positive")
+        require(self.variables_count >= 0,
+                "variables_count must be nonnegative")
         for clause in self.clauses:
             require(len(clause) > 0, "stored clauses must be nonempty")
             for lit in clause:
@@ -144,8 +145,9 @@ def parse_dimacs(text):
             except ValueError:
                 raise DimacsError("non-integer counts in header %r" % stripped,
                                   lineno) from None
-            if variables_count <= 0:
-                raise DimacsError("variable count must be positive", lineno)
+            if variables_count < 0:
+                raise DimacsError("variable count must be nonnegative",
+                                  lineno)
             if declared_clauses < 0:
                 raise DimacsError("clause count must be nonnegative", lineno)
             continue

@@ -86,28 +86,28 @@ def set_literal(state, literal, value):
     stops early if a clause becomes fully false; the caller detects the
     conflict via has_empty_clause.
     """
+    require(0 < abs(literal) <= state.formula.variables_count,
+            "literal %r out of range" % (literal,))
     tau = state.truth_assignment
     require(get_literal_value(tau, literal) == UNSET,
             "literal %d is already set" % literal)
-    before = state.unset_count
-    variable, positive = decode_literal(literal)
-    assigned = value if positive else not value
+    trail = state.trail
+    before = len(trail)
+    if not value:
+        literal = -literal
     tracer = state.tracer
-    set_variable(state, variable, assigned)
+    set_variable(state, abs(literal) - 1, literal > 0)
     clauses = state.formula.clauses
+    occurrences = state.occurrences
     lengths = state.clause_lengths
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
-    queue = [(variable, assigned)]
+    queue = [literal]  # literals made true, in assignment order
     head = 0
     while head < len(queue):
-        var, val = queue[head]
+        # clauses where the negation of a true literal just became false
+        candidates = occurrences[-queue[head]]
         head += 1
-        # clauses where a literal of var just became false
-        if val:
-            candidates = state.negative_occurrences[var]
-        else:
-            candidates = state.positive_occurrences[var]
         for index in candidates:
             if true_counts[index] > 0:
                 continue
@@ -115,20 +115,20 @@ def set_literal(state, literal, value):
             length = lengths[index]
             if false_count == length:
                 # conflict: remaining propagation is pointless
-                require(state.unset_count < before,
+                require(len(trail) > before,
                         "propagation must assign at least one variable")
                 return
             if false_count == length - 1:
                 for forced in clauses[index]:
                     if get_literal_value(tau, forced) == UNSET:
                         break
-                forced_variable, forced_positive = decode_literal(forced)
+                forced_variable = abs(forced) - 1
                 if tracer is not None:
-                    tracer.emit(("propagate", forced_variable,
-                                 forced_positive, index, tracer._tau(state)))
-                set_variable(state, forced_variable, forced_positive)
-                queue.append((forced_variable, forced_positive))
-    require(state.unset_count < before,
+                    tracer.emit(("propagate", forced_variable, forced > 0,
+                                 index, tracer._tau(state)))
+                set_variable(state, forced_variable, forced > 0)
+                queue.append(forced)
+    require(len(trail) > before,
             "propagation must assign at least one variable")
 
 
@@ -145,7 +145,7 @@ def step(state, literal, value, deadline=None, depth=0, start=0):
     """
     require(literal != 0, "invalid literal")
     before = state.snapshot() if state.checked else None
-    unset_before = state.unset_count
+    assigned_before = len(state.trail)
     variable, positive = decode_literal(literal)
     if state.tracer is not None:
         state.tracer.emit(("decide", variable,
@@ -154,7 +154,7 @@ def step(state, literal, value, deadline=None, depth=0, start=0):
     # never leaves an empty layer on the trail for solve to unwind
     state.trail.new_layer()
     set_literal(state, literal, value)
-    require(state.unset_count < unset_before,
+    require(len(state.trail) > assigned_before,
             "decision must reduce the unset-variable count")
     result = _solve(state, deadline, depth + 1, start)
     undo_last_layer(state)

@@ -1,4 +1,8 @@
-"""Mutable search state: truth values, per-clause counters, occurrence lists.
+"""Mutable search state: the trail, per-clause counters, occurrence lists.
+
+The trail owns the truth values: `truth_assignment` is the trail's value
+array, so an assignment is stored once.  `occurrences[literal]` lists the
+clauses that contain a literal, indexed directly by its signed code.
 
 The counters answer the per-clause questions in O(1): a clause is satisfied
 iff its true-literal count is positive, fully false iff its false-literal
@@ -16,11 +20,7 @@ stopped.
 """
 
 from ._contracts import ContractError, require
-from .trail import Trail, check_trail_invariants
-
-UNSET = -1
-FALSE = 0
-TRUE = 1
+from .trail import FALSE, TRUE, UNSET, Trail, check_trail_invariants
 
 
 def get_literal_value(truth_assignment, literal):
@@ -31,8 +31,23 @@ def get_literal_value(truth_assignment, literal):
     return UNSET if value == UNSET else 1 - value
 
 
+def occurrence_lists(formula):
+    """Clause indices per literal, ascending, indexed by the signed literal
+    code: 2n+1 lists, negative codes counting back from the end, slot 0
+    unused."""
+    occurrences = [[] for _ in range(2 * formula.variables_count + 1)]
+    for index, clause in enumerate(formula.clauses):
+        for literal in clause:
+            occurrences[literal].append(index)
+    return occurrences
+
+
 class SolverState:
     """One search's view of a shared immutable CnfFormula.
+
+    `truth_assignment` is the same list object as `trail.values`, and
+    `unset_count` is derived from the trail length, so the trail is the
+    only record of the assignment.
 
     checked=True recomputes and asserts every invariant after each mutation;
     this stands in for static verification and is meant for tests, not
@@ -46,25 +61,20 @@ class SolverState:
         self.formula = formula
         self.checked = checked
         self.trail = Trail(n)
-        self.truth_assignment = [UNSET] * n
+        self.truth_assignment = self.trail.values
         self.true_literals_count = [0] * len(formula.clauses)
         self.false_literals_count = [0] * len(formula.clauses)
         self.clause_lengths = [len(c) for c in formula.clauses]
         self.false_clauses_count = 0  # clauses with every literal false
-        self.unset_count = n
         self.tracer = None
-        positive = [[] for _ in range(n)]
-        negative = [[] for _ in range(n)]
-        for index, clause in enumerate(formula.clauses):
-            for literal in clause:
-                if literal > 0:
-                    positive[literal - 1].append(index)
-                else:
-                    negative[-literal - 1].append(index)
-        self.positive_occurrences = positive
-        self.negative_occurrences = negative
+        self.occurrences = occurrence_lists(formula)
         if checked:
             self.assert_valid()
+
+    @property
+    def unset_count(self):
+        """Number of variables not on the trail."""
+        return self.formula.variables_count - len(self.trail)
 
     def assert_valid(self):
         if not check_state_invariants(self):
@@ -85,30 +95,21 @@ def build_state(formula, checked=False):
 def set_variable(state, variable, value):
     """Assign a variable, record it on the current trail layer, and update
     the counters of exactly the clauses it occurs in."""
-    tau = state.truth_assignment
-    require(tau[variable] == UNSET, "variable %d already set" % variable)
     state.trail.push_entry(variable, value)
+    literal = variable + 1 if value else -variable - 1
+    occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
     lengths = state.clause_lengths
-    if value:
-        tau[variable] = TRUE
-        satisfied = state.positive_occurrences[variable]
-        falsified = state.negative_occurrences[variable]
-    else:
-        tau[variable] = FALSE
-        satisfied = state.negative_occurrences[variable]
-        falsified = state.positive_occurrences[variable]
-    for index in satisfied:
+    for index in occurrences[literal]:
         true_counts[index] += 1
     emptied = 0
-    for index in falsified:
+    for index in occurrences[-literal]:
         count = false_counts[index] + 1
         false_counts[index] = count
         if count == lengths[index]:
             emptied += 1
     state.false_clauses_count += emptied
-    state.unset_count -= 1
     if state.checked:
         state.assert_valid()
 
@@ -116,38 +117,35 @@ def set_variable(state, variable, value):
 def unset_variable(state, variable):
     """Revert a variable to unset and roll back the counters.
 
-    Does not touch the trail; pair each call with the matching pop_layer
-    entry (see undo_last_layer).
+    Leaves the variable's trail entry in place; undo_last_layer unsets a
+    layer's variables and then pops the layer.
     """
     tau = state.truth_assignment
-    require(tau[variable] != UNSET, "variable %d is not set" % variable)
-    if tau[variable] == TRUE:
-        satisfied = state.positive_occurrences[variable]
-        falsified = state.negative_occurrences[variable]
-    else:
-        satisfied = state.negative_occurrences[variable]
-        falsified = state.positive_occurrences[variable]
+    value = tau[variable]
+    require(value != UNSET, "variable %d is not set" % variable)
+    literal = variable + 1 if value == TRUE else -variable - 1
     tau[variable] = UNSET
+    occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
     lengths = state.clause_lengths
-    for index in satisfied:
+    for index in occurrences[literal]:
         true_counts[index] -= 1
     emptied = 0
-    for index in falsified:
+    for index in occurrences[-literal]:
         count = false_counts[index]
         if count == lengths[index]:
             emptied += 1
         false_counts[index] = count - 1
     state.false_clauses_count -= emptied
-    state.unset_count += 1
 
 
 def undo_last_layer(state):
     """Pop the last trail layer and unset every variable it assigned."""
-    entries = state.trail.pop_layer()
+    entries = state.trail.last_layer()
     for variable, _ in reversed(entries):
         unset_variable(state, variable)
+    state.trail.pop_layer()
     if state.checked:
         state.assert_valid()
     return entries
@@ -184,23 +182,15 @@ def is_formula_satisfied(state):
 def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
-    Covers the trail invariants, the trail/assignment coherence, both
-    counter arrays, the fully-false clause count, and the occurrence lists.
-    Pure; returns a boolean.
+    Covers the trail invariants, the truth assignment being the trail's
+    value array, both counter arrays, the fully-false clause count, and the
+    occurrence lists.  Pure; returns a boolean.
     """
     formula = state.formula
-    n = formula.variables_count
     if not check_trail_invariants(state.trail):
         return False
     tau = state.truth_assignment
-    if len(tau) != n or any(v not in (UNSET, FALSE, TRUE) for v in tau):
-        return False
-    derived = [UNSET] * n
-    for variable, value in state.trail.entries():
-        derived[variable] = TRUE if value else FALSE
-    if derived != tau:
-        return False
-    if state.unset_count != sum(1 for v in tau if v == UNSET):
+    if tau is not state.trail.values or len(tau) != formula.variables_count:
         return False
     if (len(state.true_literals_count) != len(formula.clauses)
             or len(state.false_literals_count) != len(formula.clauses)):
@@ -223,27 +213,4 @@ def check_state_invariants(state):
             false_clauses += 1
     if state.false_clauses_count != false_clauses:
         return False
-    positive = [[] for _ in range(n)]
-    negative = [[] for _ in range(n)]
-    for index, clause in enumerate(formula.clauses):
-        for literal in clause:
-            if literal > 0:
-                positive[literal - 1].append(index)
-            else:
-                negative[-literal - 1].append(index)
-    if positive != state.positive_occurrences:
-        return False
-    if negative != state.negative_occurrences:
-        return False
-    return True
-
-
-def dump_state(state):
-    """Debug view of assignment and counters, for trace tests."""
-    tau = "".join({UNSET: "?", FALSE: "0", TRUE: "1"}[v]
-                  for v in state.truth_assignment)
-    counts = " ".join("%d/%d" % (t, f)
-                      for t, f in zip(state.true_literals_count,
-                                      state.false_literals_count))
-    return "tau=%s counts(true/false)=%s\n%s" % (tau, counts,
-                                                 state.trail.dump())
+    return state.occurrences == occurrence_lists(formula)

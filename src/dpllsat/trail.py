@@ -2,79 +2,93 @@
 
 Each decision opens a new layer holding the decision assignment followed by
 the assignments forced by unit propagation, so backtracking knows exactly
-which assignments to revert.
+which assignments to revert.  The layout is MiniSat's (Eén and Sörensson,
+"An Extensible SAT-solver", SAT 2003): one flat list of assignments plus
+the index where each layer starts.
 """
 
 from ._contracts import require
 
+UNSET = -1
+FALSE = 0
+TRUE = 1
+
 
 class Trail:
-    """Fixed-capacity stack of assignment layers.
+    """Assignments in push order, split into layers, and the value array.
 
-    Capacity is variables_count layers since every layer holds at least one
-    assignment of a distinct variable.  Entries are (variable, bool) pairs in
-    push order.
+    `assignments` holds (variable, bool) pairs, oldest first.  Layer i is
+    `assignments[starts[i]:starts[i + 1]]`, the last one running to the
+    end.  `values[v]` is UNSET, FALSE or TRUE, and is set exactly for the
+    variables on the trail.  At most variables_count layers can be open,
+    since every layer holds at least one assignment of a distinct variable.
     """
 
     def __init__(self, variables_count):
-        require(variables_count > 0, "variables_count must be positive")
+        require(variables_count >= 0, "variables_count must be nonnegative")
         self.variables_count = variables_count
-        self.layers = [[] for _ in range(variables_count)]
-        self.size = 0
-        self._assigned = set()  # variables currently on the trail
+        self.assignments = []
+        self.starts = []
+        self.values = [UNSET] * variables_count
+
+    @property
+    def size(self):
+        """Number of open layers."""
+        return len(self.starts)
 
     def new_layer(self):
         """Open a new (empty) decision layer."""
-        require(self.size < self.variables_count, "trail is full")
-        require(self.size == 0 or len(self.layers[self.size - 1]) > 0,
+        starts = self.starts
+        require(len(starts) < self.variables_count, "trail is full")
+        require(not starts or starts[-1] < len(self.assignments),
                 "current layer is empty, push an entry first")
-        self.size += 1
+        starts.append(len(self.assignments))
 
     def push_entry(self, variable, value):
-        """Append an assignment to the current layer."""
-        require(self.size > 0, "no open layer")
+        """Append an assignment to the current layer and record its value."""
+        require(self.starts, "no open layer")
         require(0 <= variable < self.variables_count,
                 "variable %r out of range" % (variable,))
-        require(variable not in self._assigned,
+        require(self.values[variable] == UNSET,
                 "variable %d already on the trail" % variable)
-        self.layers[self.size - 1].append((variable, value))
-        self._assigned.add(variable)
+        self.assignments.append((variable, value))
+        self.values[variable] = TRUE if value else FALSE
 
     def pop_layer(self):
-        """Remove the last layer and return its entries in push order."""
-        require(self.size > 0, "trail is empty")
-        layer = self.layers[self.size - 1]
-        require(len(layer) > 0, "last layer is empty")
-        entries = list(layer)
-        layer.clear()
-        self.size -= 1
+        """Remove the last layer, unset its variables, and return its
+        entries in push order."""
+        starts = self.starts
+        require(starts, "trail is empty")
+        start = starts[-1]
+        require(start < len(self.assignments), "last layer is empty")
+        starts.pop()
+        entries = self.assignments[start:]
+        del self.assignments[start:]
+        values = self.values
         for variable, _ in entries:
-            self._assigned.discard(variable)
+            values[variable] = UNSET
         return entries
 
     def last_layer(self):
-        require(self.size > 0, "trail is empty")
-        return list(self.layers[self.size - 1])
+        require(self.starts, "trail is empty")
+        return self.assignments[self.starts[-1]:]
 
-    def __contains__(self, variable):
-        return variable in self._assigned
+    def layer(self, i):
+        """Entries of open layer i, in push order."""
+        starts = self.starts
+        require(0 <= i < len(starts), "no open layer %r" % (i,))
+        end = starts[i + 1] if i + 1 < len(starts) else len(self.assignments)
+        return self.assignments[starts[i]:end]
 
     def __len__(self):
-        return len(self._assigned)
-
-    def entries(self):
-        """All (variable, value) pairs on active layers, oldest first."""
-        out = []
-        for i in range(self.size):
-            out.extend(self.layers[i])
-        return out
+        return len(self.assignments)
 
     def dump(self):
-        """One line per active layer, entries as (var, T|F)."""
+        """One line per open layer, entries as (var, T|F)."""
         lines = []
         for i in range(self.size):
             cells = " ".join("(%d, %s)" % (v, "T" if b else "F")
-                             for v, b in self.layers[i])
+                             for v, b in self.layer(i))
             lines.append("layer %d: %s" % (i, cells))
         return "\n".join(lines)
 
@@ -82,25 +96,22 @@ class Trail:
 def check_trail_invariants(trail):
     """True iff the trail satisfies all of its structural invariants."""
     n = trail.variables_count
-    if not (0 <= trail.size <= n) or len(trail.layers) != n:
+    starts = trail.starts
+    if len(starts) > n or len(trail.values) != n:
         return False
-    # used layers below the top are nonempty, unused layers are empty
-    for i in range(trail.size - 1):
-        if not trail.layers[i]:
-            return False
-    for i in range(trail.size, n):
-        if trail.layers[i]:
-            return False
-    # each variable at most once, in range, with a boolean value
-    seen = set()
-    for i in range(trail.size):
-        for variable, value in trail.layers[i]:
-            if not (0 <= variable < n) or not isinstance(value, bool):
-                return False
-            if variable in seen:
-                return False
-            seen.add(variable)
-    # the assigned-variable cache is the set view of the layers
-    if seen != trail._assigned:
+    # layers tile the assignments from index 0, and only the top layer may
+    # be empty; with no layer open there are no assignments
+    bounds = starts + [len(trail.assignments)]
+    if (bounds[0] != 0 or bounds != sorted(bounds)
+            or len(set(starts)) != len(starts)):
         return False
-    return True
+    # each variable at most once, in range, with a boolean value, and the
+    # value array is exactly the assignments' view
+    derived = [UNSET] * n
+    for variable, value in trail.assignments:
+        if not (0 <= variable < n) or not isinstance(value, bool):
+            return False
+        if derived[variable] != UNSET:
+            return False
+        derived[variable] = TRUE if value else FALSE
+    return derived == trail.values

@@ -42,6 +42,12 @@ class TestRun:
         assert code == EXIT_UNSAT
         assert capsys.readouterr().out.strip() == "s UNSATISFIABLE"
 
+    def test_zero_variable_files(self, tmp_path, capsys):
+        assert main([write_cnf(tmp_path, "p cnf 0 0\n")]) == EXIT_SAT
+        assert capsys.readouterr().out == "s SATISFIABLE\nv 0\n"
+        assert main([write_cnf(tmp_path, "p cnf 0 1\n0\n")]) == EXIT_UNSAT
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         code = main([write_cnf(tmp_path, "p cnf bogus\n")])
         assert code == 1

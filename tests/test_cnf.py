@@ -76,6 +76,16 @@ class TestParseDimacs:
         assert f.trivially_unsat
         assert f.clauses == ()
 
+    def test_zero_variables(self):
+        f = parse_dimacs("p cnf 0 0\n")
+        assert (f.variables_count, f.clauses) == (0, ())
+        assert not f.trivially_unsat
+        f = parse_dimacs("p cnf 0 1\n0\n")
+        assert (f.variables_count, f.clauses) == (0, ())
+        assert f.trivially_unsat
+        with pytest.raises(DimacsError, match="nonnegative"):
+            parse_dimacs("p cnf -1 0\n")
+
     def test_comments_and_multiline_clauses(self):
         f = parse_dimacs("c hello\np cnf 3 1\nc mid\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)

@@ -45,7 +45,7 @@ class TestSetLiteral:
         s = build_state(example1())
         s.trail.new_layer()
         set_literal(s, 1, True)
-        assert s.trail.layers[0] == [(0, True), (1, False), (2, False)]
+        assert s.trail.layer(0) == [(0, True), (1, False), (2, False)]
 
     def test_no_propagation_when_nothing_is_unit(self):
         s = build_state(example1())
@@ -53,7 +53,7 @@ class TestSetLiteral:
         set_literal(s, 1, True)
         s.trail.new_layer()
         set_literal(s, 4, True)
-        assert s.trail.layers[1] == [(3, True)]
+        assert s.trail.layer(1) == [(3, True)]
 
     def test_propagation_reaches_satisfying_assignment(self):
         f = build_formula(2, [[1, 2], [-1, 2]])
@@ -69,6 +69,13 @@ class TestSetLiteral:
         set_literal(s, 1, True)
         with pytest.raises(ContractError):
             set_literal(s, -1, True)
+
+    @pytest.mark.parametrize("literal", [0, 8, -8])  # example1 has 7 vars
+    def test_out_of_range_literal_rejected(self, literal):
+        s = build_state(example1())
+        s.trail.new_layer()
+        with pytest.raises(ContractError):
+            set_literal(s, literal, True)
 
     def test_negative_literal_sets_variable_false(self):
         s = build_state(example1())
@@ -282,7 +289,14 @@ class TestPinnedSearchTree:
         (generate_queens(8), "SAT", (50, 416, 24, 8),
          {"decide": 50, "propagate": 416, "backtrack": 50,
           "branch_unsat": 19, "sat": 1}),
-    ], ids=["php6", "queens8"])
+        # the php7 and queens16 benchmark workloads
+        (generate_pigeonhole(7), "UNSAT", (10078, 70302, 5040, 21),
+         {"decide": 10078, "propagate": 70302, "backtrack": 10078,
+          "branch_unsat": 5039}),
+        (generate_queens(16), "SAT", (3675, 38902, 1833, 26),
+         {"decide": 3675, "propagate": 38902, "backtrack": 3675,
+          "branch_unsat": 1819, "sat": 1}),
+    ], ids=["php6", "queens8", "php7", "queens16"])
     def test_work_counters(self, formula, verdict, counters, kinds):
         tracer = Tracer()
         result, _ = solve_formula(formula, tracer=tracer)

@@ -18,8 +18,8 @@ def fresh_example1_state(checked=False):
 class TestBuildState:
     def test_occurrence_lists_for_example1(self):
         s = fresh_example1_state()
-        assert s.positive_occurrences[1] == [0, 2, 3]  # x2 in clauses 1,3,4
-        assert s.negative_occurrences[0] == [1]        # -x1 in clause 2
+        assert s.occurrences[2] == [0, 2, 3]  # x2 in clauses 1,3,4
+        assert s.occurrences[-1] == [1]       # -x1 in clause 2
 
     def test_all_counters_zero(self):
         s = fresh_example1_state()
@@ -30,9 +30,8 @@ class TestBuildState:
 
     def test_occurrence_lists_ascending(self):
         s = fresh_example1_state()
-        for lists in (s.positive_occurrences, s.negative_occurrences):
-            for indices in lists:
-                assert indices == sorted(set(indices))
+        for indices in s.occurrences:
+            assert indices == sorted(set(indices))
 
     def test_rejects_trivially_unsat(self):
         f = parse_dimacs("p cnf 1 1\n0\n")
@@ -295,8 +294,8 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     true_before = list(s.true_literals_count)
     false_before = list(s.false_literals_count)
     set_variable(s, variable, value)
-    touched = set(s.positive_occurrences[variable])
-    touched |= set(s.negative_occurrences[variable])
+    touched = set(s.occurrences[variable + 1])
+    touched |= set(s.occurrences[-variable - 1])
     for index in range(len(s.formula.clauses)):
         if index not in touched:
             assert s.true_literals_count[index] == true_before[index]

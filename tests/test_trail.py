@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllsat import ContractError, Trail, check_trail_invariants
+from dpllsat import TRUE, ContractError, Trail, check_trail_invariants
 
 
 def fig2_trail():
@@ -25,7 +25,7 @@ class TestNewLayer:
         t = Trail(3)
         t.new_layer()
         assert t.size == 1
-        assert all(layer == [] for layer in t.layers)
+        assert all(t.layer(i) == [] for i in range(t.size))
 
     def test_existing_layers_unchanged(self):
         t = Trail(7)
@@ -35,8 +35,8 @@ class TestNewLayer:
         t.push_entry(2, False)
         t.new_layer()
         assert t.size == 2
-        assert t.layers[0] == [(0, True), (1, False), (2, False)]
-        assert t.layers[1] == []
+        assert t.layer(0) == [(0, True), (1, False), (2, False)]
+        assert t.layer(1) == []
 
     def test_full_trail_rejected(self):
         t = Trail(2)
@@ -59,7 +59,7 @@ class TestPushEntry:
         t = Trail(7)
         t.new_layer()
         t.push_entry(0, True)
-        assert t.layers[0] == [(0, True)]
+        assert t.layer(0) == [(0, True)]
 
     def test_push_order_preserved(self):
         t = Trail(7)
@@ -67,7 +67,7 @@ class TestPushEntry:
         t.push_entry(0, True)
         t.push_entry(1, False)
         t.push_entry(2, False)
-        assert t.layers[0] == [(0, True), (1, False), (2, False)]
+        assert t.layer(0) == [(0, True), (1, False), (2, False)]
 
     def test_duplicate_variable_rejected(self):
         t = Trail(7)
@@ -87,8 +87,8 @@ class TestPopLayer:
         t = fig2_trail()
         assert t.pop_layer() == [(4, True)]
         assert t.size == 2
-        assert t.layers[0] == [(0, True), (1, False), (2, False)]
-        assert t.layers[1] == [(3, True)]
+        assert t.layer(0) == [(0, True), (1, False), (2, False)]
+        assert t.layer(1) == [(3, True)]
 
     def test_pop_single_layer(self):
         t = Trail(7)
@@ -105,12 +105,12 @@ class TestPopLayer:
 
     def test_pop_then_replay_restores_trail(self):
         t = fig2_trail()
-        before = [list(layer) for layer in t.layers]
+        before = [t.layer(i) for i in range(t.size)]
         entries = t.pop_layer()
         t.new_layer()
         for variable, value in entries:
             t.push_entry(variable, value)
-        assert [list(layer) for layer in t.layers] == before
+        assert [t.layer(i) for i in range(t.size)] == before
         assert check_trail_invariants(t)
 
 
@@ -123,17 +123,17 @@ class TestInvariants:
 
     def test_duplicate_variable_detected(self):
         t = fig2_trail()
-        t.layers[2].append((0, False))  # x1 already in layer 0
+        t.assignments.append((0, False))  # x1 already in layer 0
         assert not check_trail_invariants(t)
 
     def test_gap_layer_detected(self):
         t = fig2_trail()
-        t.layers[0].clear()
+        t.starts[1] = t.starts[0]  # layer 0 becomes empty
         assert not check_trail_invariants(t)
 
     def test_stale_unused_layer_detected(self):
         t = fig2_trail()
-        t.layers[5].append((6, True))
+        t.values[6] = TRUE  # x7 has no trail entry
         assert not check_trail_invariants(t)
 
 
@@ -154,7 +154,7 @@ def test_invariants_hold_under_random_operations(data):
     steps = data.draw(st.integers(0, 30))
     for _ in range(steps):
         ops = []
-        current_nonempty = t.size > 0 and len(t.layers[t.size - 1]) > 0
+        current_nonempty = t.size > 0 and len(t.last_layer()) > 0
         if t.size < n and (t.size == 0 or current_nonempty):
             ops.append("new")
         if t.size > 0 and unused:
