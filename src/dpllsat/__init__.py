@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from ._contracts import ContractError
 from .cnf import (CnfFormula, DimacsError, DimacsWarning, build_formula,
-                  decode_literal, encode_literal, negate_literal,
                   normalize_clause, parse_dimacs, to_dimacs)
 from .oracle import brute_force, check_model, is_satisfiable_extend
 from .search import (SolveResult, TimeLimitReached, Tracer, choose_literal,
@@ -23,9 +22,8 @@ __all__ = [
     "FALSE", "TRUE", "UNSET",
     "brute_force", "build_formula", "build_state", "check_model",
     "check_state_invariants", "check_trail_invariants", "choose_literal",
-    "complete_model", "decode_literal", "encode_literal",
-    "first_open_clause", "get_literal_value", "has_empty_clause",
-    "is_formula_satisfied", "is_satisfiable_extend", "negate_literal", "normalize_clause",
-    "parse_dimacs", "set_literal", "set_variable", "solve", "step",
-    "to_dimacs", "undo_last_layer", "unset_variable",
+    "complete_model", "first_open_clause", "get_literal_value",
+    "has_empty_clause", "is_formula_satisfied", "is_satisfiable_extend",
+    "normalize_clause", "parse_dimacs", "set_literal", "set_variable",
+    "solve", "step", "to_dimacs", "undo_last_layer", "unset_variable",
 ]

@@ -25,25 +25,6 @@ class DimacsWarning(UserWarning):
     """Recoverable oddity in a DIMACS file (e.g. wrong clause count)."""
 
 
-def encode_literal(variable, positive):
-    """Integer code of a variable occurrence: v+1 if positive, -v-1 if not."""
-    require(variable >= 0, "variable index must be nonnegative")
-    return variable + 1 if positive else -variable - 1
-
-
-def decode_literal(literal):
-    """Inverse of encode_literal; returns (variable, positive)."""
-    require(literal != 0, "literal code 0 is invalid")
-    if literal > 0:
-        return literal - 1, True
-    return -literal - 1, False
-
-
-def negate_literal(literal):
-    require(literal != 0, "literal code 0 is invalid")
-    return -literal
-
-
 def normalize_clause(raw):
     """Deduplicate a raw clause, keeping first-occurrence order.
 

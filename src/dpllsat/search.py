@@ -1,23 +1,21 @@
-"""Recursive DPLL search: literal choice, unit propagation, decide/undo.
+"""DPLL search: literal choice, unit propagation, decide/undo.
 
-The search recurses once per decision.  Unit propagation runs as a work
-queue inside the current layer, so recursion depth is bounded by the number
-of variables.
+The search is one loop over the trail, as in MiniSat's `search` (Eén and
+Sörensson, SAT 2003).  Each open decision layer has a frame: its decision
+literal, the clause cursor of the node that decided it, whether it is on
+its false branch, and, in checked mode, the snapshot its undo must restore.
+Every decision assigns at least one variable, so at most n frames are open.
 
-Each search node carries a clause cursor `start`: every clause below it has
-a true literal.  A node finds its lowest open clause by scanning from its
-parent's cursor and hands that index to its children.  This holds because a
-child only adds assignments, and true counts never fall while the trail
-grows.  So a root-to-leaf path scans each clause at most once, and the
-conflict test is an O(1) counter read.
+A node's clause cursor `start` has a true literal in every clause below it.
+A node scans for its lowest open clause from its parent's cursor, and its
+frame keeps that index for both children.  True counts never fall while
+the trail grows, so a root-to-leaf path scans each clause at most once.
 """
 
-import sys
 import time
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .cnf import decode_literal
 from .state import (TRUE, UNSET, first_open_clause, get_literal_value,
                     has_empty_clause, set_variable, undo_last_layer)
 
@@ -137,55 +135,83 @@ def complete_model(truth_assignment):
     return tuple(value == TRUE for value in truth_assignment)
 
 
-def step(state, literal, value, deadline=None, depth=0, start=0):
-    """One decision: new layer, set the literal, recurse, undo the layer.
-
-    `start` is the clause cursor handed to the child node.  Returns the
-    child verdict; the state is restored exactly, even on SAT.
-    """
-    require(literal != 0, "invalid literal")
-    before = state.snapshot() if state.checked else None
-    assigned_before = len(state.trail)
-    variable, positive = decode_literal(literal)
+def _decide(state, literal, value):
+    """Open a decision layer and make `literal` evaluate to `value` on it."""
     if state.tracer is not None:
-        state.tracer.emit(("decide", variable,
-                           value if positive else not value))
+        state.tracer.emit(("decide", abs(literal) - 1,
+                           value if literal > 0 else not value))
     # the layer is opened just before its first entry, so an exception
     # never leaves an empty layer on the trail for solve to unwind
     state.trail.new_layer()
     set_literal(state, literal, value)
-    require(len(state.trail) > assigned_before,
-            "decision must reduce the unset-variable count")
-    result = _solve(state, deadline, depth + 1, start)
+
+
+def _backtrack(state, before):
+    """Undo the top layer.  `before` is the snapshot taken just before that
+    layer was opened, in checked mode, and None otherwise."""
     undo_last_layer(state)
     if state.tracer is not None:
         state.tracer.emit(("backtrack", state.trail.size))
-    if state.checked and state.snapshot() != before:
-        raise ContractError("step did not restore the state exactly")
-    return result
+    if before is not None and state.snapshot() != before:
+        raise ContractError("backtrack did not restore the state exactly")
 
 
-def _solve(state, deadline, depth, start):
-    if deadline is not None and time.monotonic() >= deadline:
-        raise TimeLimitReached()
-    require(depth <= state.formula.variables_count,
-            "recursion depth exceeds variable count")
-    if has_empty_clause(state):
-        return SolveResult(False)
-    start = first_open_clause(state, start)
-    if start is None:
-        if state.tracer is not None:
-            state.tracer.emit(("sat", tuple(state.truth_assignment)))
-        return SolveResult(True, complete_model(state.truth_assignment))
-    literal = choose_literal(state, start)
-    result = step(state, literal, True, deadline, depth, start)
-    if result.satisfiable:
-        return result
-    result = step(state, literal, False, deadline, depth, start)
-    if not result.satisfiable and state.tracer is not None:
-        state.tracer.emit(("branch_unsat",
-                           tuple(state.truth_assignment)
-                           if state.tracer.snapshot_assignments else None))
+def _search(state, deadline, start):
+    """Search below the current trail; return the verdict of that subtree.
+
+    `start` is the clause cursor of the first node.  Every layer this opens
+    is closed again before it returns, also on SAT.
+    """
+    tracer = state.tracer
+    frames = []  # (literal, cursor, on_false_branch, snapshot) per layer
+    while True:
+        # one search node
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeLimitReached()
+        if has_empty_clause(state):
+            result = SolveResult(False)
+        else:
+            start = first_open_clause(state, start)
+            if start is not None:
+                literal = choose_literal(state, start)
+                before = state.snapshot() if state.checked else None
+                frames.append((literal, start, False, before))
+                _decide(state, literal, True)
+                continue
+            if tracer is not None:
+                tracer.emit(("sat", tuple(state.truth_assignment)))
+            result = SolveResult(True, complete_model(state.truth_assignment))
+        # close layers until one has its false branch still to search
+        while frames:
+            literal, start, on_false_branch, before = frames.pop()
+            _backtrack(state, before)
+            if result.satisfiable:
+                continue
+            if not on_false_branch:
+                frames.append((literal, start, True, before))
+                _decide(state, literal, False)
+                break
+            if tracer is not None:
+                tracer.emit(("branch_unsat", tracer._tau(state)))
+        else:
+            return result
+
+
+def step(state, literal, value, deadline=None):
+    """One decision: new layer, set the literal, search below it, undo.
+
+    Returns the verdict of the subtree below the decision; the state is
+    restored exactly, even on SAT.  A literal that is out of range or
+    already set raises ContractError before any layer is opened.
+    """
+    require(0 < abs(literal) <= state.formula.variables_count,
+            "literal %r out of range" % (literal,))
+    require(get_literal_value(state.truth_assignment, literal) == UNSET,
+            "literal %d is already set" % literal)
+    before = state.snapshot() if state.checked else None
+    _decide(state, literal, value)
+    result = _search(state, deadline, 0)
+    _backtrack(state, before)
     return result
 
 
@@ -197,22 +223,16 @@ def solve(state, time_limit=None):
     entry: if the search or its tracer raises, every trail layer the search
     opened is undone before the exception propagates.  KeyboardInterrupt
     and other asynchronous interrupts can strike in the middle of a counter
-    update, so they are not unwound and the state must be rebuilt.  The
-    interpreter's recursion limit is raised for the search and restored
-    afterwards.
+    update, so they are not unwound and the state must be rebuilt.
     """
     deadline = None
     if time_limit is not None:
         require(time_limit > 0, "time limit must be positive")
         deadline = time.monotonic() + time_limit
     layers = state.trail.size
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 8 * state.formula.variables_count + 200))
     try:
-        return _solve(state, deadline, 0, 0)
+        return _search(state, deadline, 0)
     except Exception:
         while state.trail.size > layers:
             undo_last_layer(state)
         raise
-    finally:
-        sys.setrecursionlimit(limit)

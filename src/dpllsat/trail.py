@@ -83,15 +83,6 @@ class Trail:
     def __len__(self):
         return len(self.assignments)
 
-    def dump(self):
-        """One line per open layer, entries as (var, T|F)."""
-        lines = []
-        for i in range(self.size):
-            cells = " ".join("(%d, %s)" % (v, "T" if b else "F")
-                             for v, b in self.layer(i))
-            lines.append("layer %d: %s" % (i, cells))
-        return "\n".join(lines)
-
 
 def check_trail_invariants(trail):
     """True iff the trail satisfies all of its structural invariants."""

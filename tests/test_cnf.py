@@ -4,47 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllsat import (ContractError, DimacsError, DimacsWarning, brute_force,
-                     build_formula, decode_literal, encode_literal,
-                     negate_literal, normalize_clause, parse_dimacs,
-                     to_dimacs)
+from dpllsat import (DimacsError, DimacsWarning, brute_force, build_formula,
+                     normalize_clause, parse_dimacs, to_dimacs)
 from helpers import EXAMPLE1_DIMACS, example1, make_rng, random_raw_clauses, \
     raw_brute_force
-
-
-class TestLiteralEncoding:
-    def test_encode_positive(self):
-        assert encode_literal(0, True) == 1
-
-    def test_encode_negative(self):
-        assert encode_literal(0, False) == -1
-
-    def test_encode_matches_example1_clause4(self):
-        # x4 appears in the fourth clause of the running example as +4
-        assert encode_literal(3, True) == 4
-
-    def test_decode_positive(self):
-        assert decode_literal(1) == (0, True)
-
-    def test_decode_negative(self):
-        assert decode_literal(-1) == (0, False)
-
-    def test_decode_not_x3(self):
-        assert decode_literal(-3) == (2, False)
-
-    def test_decode_rejects_zero(self):
-        with pytest.raises(ContractError):
-            decode_literal(0)
-
-    def test_negate(self):
-        assert negate_literal(1) == -1
-        assert negate_literal(-7) == 7
-        assert negate_literal(negate_literal(5)) == 5
-
-    @given(st.integers(0, 10_000), st.booleans())
-    def test_decode_inverts_encode(self, variable, positive):
-        assert decode_literal(encode_literal(variable, positive)) == \
-            (variable, positive)
 
 
 class TestNormalizeClause:

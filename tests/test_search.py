@@ -124,6 +124,19 @@ class TestStep:
         assert not step(build_state(f), 1, False).satisfiable
         assert step(build_state(f), 1, True).satisfiable
 
+    @pytest.mark.parametrize("literal", [3, -1],
+                             ids=["out_of_range", "already_set"])
+    def test_rejected_literal_opens_no_layer(self, literal):
+        s = build_state(build_formula(2, [[1, 2]]), checked=True)
+        s.trail.new_layer()
+        set_literal(s, 1, True)  # x1 true, x2 still unset
+        before = s.snapshot()
+        with pytest.raises(ContractError):
+            step(s, literal, True)
+        assert s.trail.size == 1
+        assert step(s, 2, True).satisfiable
+        assert s.snapshot() == before
+
 
 class TestSolve:
     def test_example1_sat_with_default_false_completion(self):
@@ -318,6 +331,17 @@ class RaisingTracer(Tracer):
             raise KeyError(event[0])
 
 
+class LimitTracer(Tracer):
+    """Tracer that records the interpreter's recursion limit at each event."""
+
+    def __init__(self):
+        super().__init__()
+        self.limits = set()
+
+    def emit(self, event):
+        self.limits.add(sys.getrecursionlimit())
+
+
 class TestExceptionSafeSolve:
     def test_timed_out_solve_restores_state(self, monkeypatch):
         formula = generate_queens(8)
@@ -366,12 +390,16 @@ class TestExceptionSafeSolve:
 
     def test_recursion_limit_restored(self):
         original = sys.getrecursionlimit()
-        for limit in (original, 400):  # 400 is below what both need
+        for limit in (original, 400):  # 400 is a lowered limit
             sys.setrecursionlimit(limit)
             try:
                 for formula, verdict in [(generate_pigeonhole(5), "UNSAT"),
                                          (generate_queens(8), "SAT")]:
-                    assert solve(build_state(formula)).verdict == verdict
+                    state = build_state(formula)
+                    state.tracer = LimitTracer()
+                    assert solve(state).verdict == verdict
                     assert sys.getrecursionlimit() == limit
+                    # the limit stays unchanged during the search too
+                    assert state.tracer.limits == {limit}
             finally:
                 sys.setrecursionlimit(original)

@@ -137,14 +137,6 @@ class TestInvariants:
         assert not check_trail_invariants(t)
 
 
-class TestDump:
-    def test_dump_format(self):
-        assert fig2_trail().dump() == (
-            "layer 0: (0, T) (1, F) (2, F)\n"
-            "layer 1: (3, T)\n"
-            "layer 2: (4, T)")
-
-
 @given(st.data())
 @settings(max_examples=200)
 def test_invariants_hold_under_random_operations(data):
