@@ -12,8 +12,7 @@ from .search import (SolveResult, TimeLimitReached, Tracer, choose_literal,
 from .state import (FALSE, TRUE, UNSET, SolverState, build_state,
                     check_state_invariants, first_open_clause,
                     get_literal_value, has_empty_clause,
-                    is_formula_satisfied, set_variable, undo_last_layer,
-                    unset_variable)
+                    is_formula_satisfied, set_variable, undo_last_layer)
 from .trail import Trail, check_trail_invariants
 
 __all__ = [
@@ -25,5 +24,5 @@ __all__ = [
     "complete_model", "first_open_clause", "get_literal_value",
     "has_empty_clause", "is_formula_satisfied", "is_satisfiable_extend",
     "normalize_clause", "parse_dimacs", "set_literal", "set_variable",
-    "solve", "step", "to_dimacs", "undo_last_layer", "unset_variable",
+    "solve", "step", "to_dimacs", "undo_last_layer",
 ]

@@ -90,16 +90,15 @@ def run(input_path, checked=False, time_limit=None, trace=False,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DimacsWarning)
             if input_path == "-":
-                formula = parse_dimacs(sys.stdin.read())
+                data = sys.stdin.buffer.read()
             else:
-                with open(input_path) as handle:
-                    formula = parse_dimacs(handle.read())
+                with open(input_path, "rb") as handle:
+                    data = handle.read()
+            # a non-ASCII byte becomes U+FFFD, which only a comment accepts
+            formula = parse_dimacs(data.decode("ascii", "replace"))
         for warning in caught:
             print("c warning: %s" % warning.message, file=err)
-    except OSError as exc:
-        print("error: %s" % exc, file=err)
-        return EXIT_ERROR
-    except DimacsError as exc:
+    except (OSError, DimacsError) as exc:
         print("error: %s" % exc, file=err)
         return EXIT_ERROR
 

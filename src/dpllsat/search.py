@@ -13,6 +13,7 @@ the trail grows, so a root-to-leaf path scans each clause at most once.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
@@ -82,13 +83,10 @@ def set_literal(state, literal, value):
 
     All forced assignments land on the current trail layer.  Propagation
     stops early if a clause becomes fully false; the caller detects the
-    conflict via has_empty_clause.
+    conflict via has_empty_clause.  Trail.push_entry rejects a literal that
+    is out of range or already set, before anything changes.
     """
-    require(0 < abs(literal) <= state.formula.variables_count,
-            "literal %r out of range" % (literal,))
     tau = state.truth_assignment
-    require(get_literal_value(tau, literal) == UNSET,
-            "literal %d is already set" % literal)
     trail = state.trail
     before = len(trail)
     if not value:
@@ -141,7 +139,7 @@ def _decide(state, literal, value):
         state.tracer.emit(("decide", abs(literal) - 1,
                            value if literal > 0 else not value))
     # the layer is opened just before its first entry, so an exception
-    # never leaves an empty layer on the trail for solve to unwind
+    # never leaves an empty layer on the trail for _unwinding to pop
     state.trail.new_layer()
     set_literal(state, literal, value)
 
@@ -197,21 +195,36 @@ def _search(state, deadline, start):
             return result
 
 
+@contextmanager
+def _unwinding(state):
+    """Undo every layer opened inside the block if it raises an Exception;
+    see solve for why other exceptions are not unwound."""
+    layers = state.trail.size
+    try:
+        yield
+    except Exception:
+        while state.trail.size > layers:
+            undo_last_layer(state)
+        raise
+
+
 def step(state, literal, value, deadline=None):
     """One decision: new layer, set the literal, search below it, undo.
 
     Returns the verdict of the subtree below the decision; the state is
-    restored exactly, even on SAT.  A literal that is out of range or
-    already set raises ContractError before any layer is opened.
+    restored exactly, even on SAT, and also when it raises (see solve).  A
+    literal out of range or already set raises ContractError before any
+    layer is opened.
     """
     require(0 < abs(literal) <= state.formula.variables_count,
             "literal %r out of range" % (literal,))
     require(get_literal_value(state.truth_assignment, literal) == UNSET,
             "literal %d is already set" % literal)
     before = state.snapshot() if state.checked else None
-    _decide(state, literal, value)
-    result = _search(state, deadline, 0)
-    _backtrack(state, before)
+    with _unwinding(state):
+        _decide(state, literal, value)
+        result = _search(state, deadline, 0)
+        _backtrack(state, before)
     return result
 
 
@@ -229,10 +242,5 @@ def solve(state, time_limit=None):
     if time_limit is not None:
         require(time_limit > 0, "time limit must be positive")
         deadline = time.monotonic() + time_limit
-    layers = state.trail.size
-    try:
+    with _unwinding(state):
         return _search(state, deadline, 0)
-    except Exception:
-        while state.trail.size > layers:
-            undo_last_layer(state)
-        raise

@@ -1,8 +1,12 @@
 """Mutable search state: the trail, per-clause counters, occurrence lists.
 
-The trail owns the truth values: `truth_assignment` is the trail's value
-array, so an assignment is stored once.  `occurrences[literal]` lists the
-clauses that contain a literal, indexed directly by its signed code.
+The trail owns the assignment: it stores the literals in push order, and
+`truth_assignment` is its value array, which it sets on a push and resets
+on a pop; `unset_count` is derived from its length.  This module owns the
+counters: `set_variable` builds the literal, pushes it and bumps the
+counters, and `undo_last_layer` pops a layer and rolls back the counters of
+its literals.  `occurrences[literal]` lists the clauses that contain a
+literal, indexed directly by its signed code.
 
 The counters answer the per-clause questions in O(1): a clause is satisfied
 iff its true-literal count is positive, fully false iff its false-literal
@@ -44,10 +48,6 @@ def occurrence_lists(formula):
 
 class SolverState:
     """One search's view of a shared immutable CnfFormula.
-
-    `truth_assignment` is the same list object as `trail.values`, and
-    `unset_count` is derived from the trail length, so the trail is the
-    only record of the assignment.
 
     checked=True recomputes and asserts every invariant after each mutation;
     this stands in for static verification and is meant for tests, not
@@ -95,8 +95,8 @@ def build_state(formula, checked=False):
 def set_variable(state, variable, value):
     """Assign a variable, record it on the current trail layer, and update
     the counters of exactly the clauses it occurs in."""
-    state.trail.push_entry(variable, value)
     literal = variable + 1 if value else -variable - 1
+    state.trail.push_entry(literal)
     occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
@@ -114,17 +114,10 @@ def set_variable(state, variable, value):
         state.assert_valid()
 
 
-def unset_variable(state, variable):
-    """Revert a variable to unset and roll back the counters.
-
-    Leaves the variable's trail entry in place; undo_last_layer unsets a
-    layer's variables and then pops the layer.
-    """
-    tau = state.truth_assignment
-    value = tau[variable]
-    require(value != UNSET, "variable %d is not set" % variable)
-    literal = variable + 1 if value == TRUE else -variable - 1
-    tau[variable] = UNSET
+def unset_variable(state, literal):
+    """Roll back set_variable's counter updates for a literal that
+    undo_last_layer has just popped, and whose value the trail has reset.
+    A function of its own so that the benchmark can hook it by name."""
     occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
@@ -141,14 +134,12 @@ def unset_variable(state, variable):
 
 
 def undo_last_layer(state):
-    """Pop the last trail layer and unset every variable it assigned."""
-    entries = state.trail.last_layer()
-    for variable, _ in reversed(entries):
-        unset_variable(state, variable)
-    state.trail.pop_layer()
+    """Pop the last trail layer and roll back its counters, newest first."""
+    literals = state.trail.pop_layer()
+    for literal in reversed(literals):
+        unset_variable(state, literal)
     if state.checked:
         state.assert_valid()
-    return entries
 
 
 def has_empty_clause(state):

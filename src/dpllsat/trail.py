@@ -1,13 +1,13 @@
 """Layered assignment trail.
 
-Each decision opens a new layer holding the decision assignment followed by
-the assignments forced by unit propagation, so backtracking knows exactly
-which assignments to revert.  The layout is MiniSat's (Eén and Sörensson,
-"An Extensible SAT-solver", SAT 2003): one flat list of assignments plus
-the index where each layer starts.
+Each decision opens a new layer holding the decision followed by the
+literals forced by unit propagation, so backtracking knows exactly which
+assignments to revert.  The layout is MiniSat's (Eén and Sörensson, "An
+Extensible SAT-solver", SAT 2003): one flat list of signed literal codes
+plus the index where each layer starts, and the value array they imply.
 """
 
-from ._contracts import require
+from ._contracts import ContractError, require
 
 UNSET = -1
 FALSE = 0
@@ -15,9 +15,10 @@ TRUE = 1
 
 
 class Trail:
-    """Assignments in push order, split into layers, and the value array.
+    """Literals in push order, split into layers, and the value array.
 
-    `assignments` holds (variable, bool) pairs, oldest first.  Layer i is
+    `assignments` holds the literals made true, oldest first, as signed
+    codes: v+1 sets variable v true, -v-1 sets it false.  Layer i is
     `assignments[starts[i]:starts[i + 1]]`, the last one running to the
     end.  `values[v]` is UNSET, FALSE or TRUE, and is set exactly for the
     variables on the trail.  At most variables_count layers can be open,
@@ -44,37 +45,36 @@ class Trail:
                 "current layer is empty, push an entry first")
         starts.append(len(self.assignments))
 
-    def push_entry(self, variable, value):
-        """Append an assignment to the current layer and record its value."""
-        require(self.starts, "no open layer")
-        require(0 <= variable < self.variables_count,
-                "variable %r out of range" % (variable,))
-        require(self.values[variable] == UNSET,
-                "variable %d already on the trail" % variable)
-        self.assignments.append((variable, value))
-        self.values[variable] = TRUE if value else FALSE
+    def push_entry(self, literal):
+        """Append a literal to the current layer and make it true.  Checks
+        that a layer is open and the literal is in range and unset first."""
+        variable = abs(literal) - 1
+        if not self.starts:
+            raise ContractError("no open layer")
+        if not 0 <= variable < self.variables_count:
+            raise ContractError("literal %r out of range" % (literal,))
+        if self.values[variable] != UNSET:
+            raise ContractError("literal %d is already set" % literal)
+        self.assignments.append(literal)
+        self.values[variable] = TRUE if literal > 0 else FALSE
 
     def pop_layer(self):
         """Remove the last layer, unset its variables, and return its
-        entries in push order."""
+        literals in push order."""
         starts = self.starts
         require(starts, "trail is empty")
         start = starts[-1]
         require(start < len(self.assignments), "last layer is empty")
         starts.pop()
-        entries = self.assignments[start:]
+        literals = self.assignments[start:]
         del self.assignments[start:]
         values = self.values
-        for variable, _ in entries:
-            values[variable] = UNSET
-        return entries
-
-    def last_layer(self):
-        require(self.starts, "trail is empty")
-        return self.assignments[self.starts[-1]:]
+        for literal in literals:
+            values[abs(literal) - 1] = UNSET
+        return literals
 
     def layer(self, i):
-        """Entries of open layer i, in push order."""
+        """Literals of open layer i, in push order."""
         starts = self.starts
         require(0 <= i < len(starts), "no open layer %r" % (i,))
         end = starts[i + 1] if i + 1 < len(starts) else len(self.assignments)
@@ -96,13 +96,14 @@ def check_trail_invariants(trail):
     if (bounds[0] != 0 or bounds != sorted(bounds)
             or len(set(starts)) != len(starts)):
         return False
-    # each variable at most once, in range, with a boolean value, and the
-    # value array is exactly the assignments' view
+    # each entry a nonzero int literal in range, each variable at most
+    # once, and the value array is exactly the literals' view
     derived = [UNSET] * n
-    for variable, value in trail.assignments:
-        if not (0 <= variable < n) or not isinstance(value, bool):
+    for literal in trail.assignments:
+        if type(literal) is not int or not 0 < abs(literal) <= n:
             return False
+        variable = abs(literal) - 1
         if derived[variable] != UNSET:
             return False
-        derived[variable] = TRUE if value else FALSE
+        derived[variable] = TRUE if literal > 0 else FALSE
     return derived == trail.values

@@ -1,9 +1,13 @@
+import gzip
+import io
+import sys
+
 import pytest
 
 from dpllsat import brute_force, check_model, parse_dimacs, to_dimacs
 from dpllsat.cli import (EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                          generate_pigeonhole, generate_queens, main)
-from helpers import EXAMPLE1_DIMACS
+from helpers import EXAMPLE1_DIMACS, example1
 
 
 def write_cnf(tmp_path, text, name="instance.cnf"):
@@ -70,6 +74,38 @@ class TestRun:
         assert code == EXIT_SAT
         assert captured.err == ""
         assert check_model(parse_dimacs(text), parse_model_line(captured.out))
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_ascii_comment_ignored(self, tmp_path, capsys, monkeypatch,
+                                       source):
+        data = b"c caf\xe9\n" + EXAMPLE1_DIMACS.encode()
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(data)))
+            path = "-"
+        else:
+            path = tmp_path / "latin1.cnf"
+            path.write_bytes(data)
+        code = main([str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_SAT
+        assert captured.err == ""
+        assert check_model(example1(), parse_model_line(captured.out))
+
+    @pytest.mark.parametrize("data, line", [
+        (b"p cnf 2 1\n1 2\xe9 0\n", 2),
+        (b"p cnf 2\xe9 1\n1 2 0\n", 1),
+        (gzip.compress(EXAMPLE1_DIMACS.encode(), mtime=0), 1),
+    ], ids=["clause", "header", "gzip"])
+    def test_non_ascii_data_is_an_input_error(self, tmp_path, capsys, data,
+                                              line):
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(data)
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line %d: " % line)
+        assert "Traceback" not in captured.err
 
     def test_timeout_prints_unknown(self, tmp_path, capsys):
         # pigeonhole with 10 holes is far beyond this solver in 50 ms

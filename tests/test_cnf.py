@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllsat import (DimacsError, DimacsWarning, brute_force, build_formula,
-                     normalize_clause, parse_dimacs, to_dimacs)
+from dpllsat import (CnfFormula, DimacsError, DimacsWarning, brute_force,
+                     build_formula, normalize_clause, parse_dimacs, to_dimacs)
 from helpers import EXAMPLE1_DIMACS, example1, make_rng, random_raw_clauses, \
     raw_brute_force
 
@@ -91,6 +91,29 @@ class TestParseDimacs:
     def test_error_carries_line_number(self):
         with pytest.raises(DimacsError, match="line 3"):
             parse_dimacs("c x\np cnf 2 1\nbogus 0\n")
+
+
+# DIMACS tokens and separators, so that generated text often gets past the
+# header and into clause data; listed twice below to outweigh st.text()
+DIMACS_PIECES = st.sampled_from(["p", "cnf", "c", "%", "0", "1", "-1", "2",
+                                 "-3", "12", "-", "+", " ", "\t", "\n",
+                                 "\r\n", "p cnf 3 2\n"])
+DIMACS_LIKE = st.builds(
+    "".join, st.lists(st.one_of(DIMACS_PIECES, DIMACS_PIECES, st.text(
+        max_size=3)), max_size=40))
+
+
+@given(st.one_of(st.text(), DIMACS_LIKE,
+                 st.builds("p cnf 3 2\n{}".format, DIMACS_LIKE)))
+@settings(max_examples=500)
+def test_arbitrary_text_parses_or_raises_dimacs_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DimacsWarning)
+        try:
+            formula = parse_dimacs(text)
+        except DimacsError:
+            return
+    assert isinstance(formula, CnfFormula)
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -45,7 +46,7 @@ class TestSetLiteral:
         s = build_state(example1())
         s.trail.new_layer()
         set_literal(s, 1, True)
-        assert s.trail.layer(0) == [(0, True), (1, False), (2, False)]
+        assert s.trail.layer(0) == [1, -2, -3]
 
     def test_no_propagation_when_nothing_is_unit(self):
         s = build_state(example1())
@@ -53,7 +54,7 @@ class TestSetLiteral:
         set_literal(s, 1, True)
         s.trail.new_layer()
         set_literal(s, 4, True)
-        assert s.trail.layer(1) == [(3, True)]
+        assert s.trail.layer(1) == [4]
 
     def test_propagation_reaches_satisfying_assignment(self):
         f = build_formula(2, [[1, 2], [-1, 2]])
@@ -367,6 +368,19 @@ class TestExceptionSafeSolve:
         assert result.verdict == "SAT"
         assert check_model(formula, result.model)
         assert state.snapshot() == before
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_expired_deadline_in_step_restores_state(self, checked):
+        formula = generate_queens(4)
+        state = build_state(formula, checked=checked)
+        before = state.snapshot()
+        with pytest.raises(TimeLimitReached):
+            step(state, 1, True, deadline=time.monotonic() - 1)
+        assert state.snapshot() == before
+        assert check_state_invariants(state)
+        result = solve(state)
+        assert result.verdict == "SAT"
+        assert check_model(formula, result.model)
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_exception_from_tracer_restores_state(self, checked):

@@ -6,8 +6,7 @@ from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      build_state, check_state_invariants, first_open_clause,
                      get_literal_value, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
-                     parse_dimacs, set_variable, undo_last_layer,
-                     unset_variable)
+                     parse_dimacs, set_variable, undo_last_layer)
 from helpers import example1, make_rng, random_formula
 
 
@@ -92,7 +91,7 @@ class TestUnsetVariable:
         set_variable(s, 4, True)  # x5 in clauses 4 and 5
         assert s.true_literals_count[3] == 1
         assert s.true_literals_count[4] == 1
-        unset_variable(s, 4)
+        undo_last_layer(s)
         assert s.true_literals_count[3] == 0
         assert s.true_literals_count[4] == 0
 
@@ -102,7 +101,7 @@ class TestUnsetVariable:
         true_before = list(s.true_literals_count)
         false_before = list(s.false_literals_count)
         set_variable(s, 1, False)
-        unset_variable(s, 1)
+        undo_last_layer(s)
         assert s.true_literals_count == true_before
         assert s.false_literals_count == false_before
         assert s.truth_assignment[1] == UNSET
@@ -110,7 +109,7 @@ class TestUnsetVariable:
     def test_never_set_rejected(self):
         s = fresh_example1_state()
         with pytest.raises(ContractError):
-            unset_variable(s, 0)
+            undo_last_layer(s)
 
 
 class TestClauseStatus:
@@ -151,11 +150,12 @@ class TestClauseStatus:
         s.trail.new_layer()
         set_variable(s, 0, True)   # clause 2 fully false
         assert s.false_clauses_count == 1
+        s.trail.new_layer()
         set_variable(s, 1, False)  # clause 3 fully false too
         assert s.false_clauses_count == 2
-        unset_variable(s, 1)
+        undo_last_layer(s)
         assert s.false_clauses_count == 1
-        unset_variable(s, 0)
+        undo_last_layer(s)
         assert s.false_clauses_count == 0
         assert not has_empty_clause(s)
 
@@ -289,8 +289,7 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     if not unset:
         return
     variable = unset[0]
-    if s.trail.size == 0:
-        s.trail.new_layer()
+    s.trail.new_layer()  # a layer of its own, so that undo reverts just it
     true_before = list(s.true_literals_count)
     false_before = list(s.false_literals_count)
     set_variable(s, variable, value)
@@ -300,6 +299,6 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
         if index not in touched:
             assert s.true_literals_count[index] == true_before[index]
             assert s.false_literals_count[index] == false_before[index]
-    unset_variable(s, variable)
+    undo_last_layer(s)
     assert s.true_literals_count == true_before
     assert s.false_literals_count == false_before

@@ -7,16 +7,16 @@ from dpllsat import TRUE, ContractError, Trail, check_trail_invariants
 
 def fig2_trail():
     """The three-layer trail reached on the running example:
-    [(x1,T),(x2,F),(x3,F)] / [(x4,T)] / [(x5,T)]."""
+    [x1, -x2, -x3] / [x4] / [x5]."""
     t = Trail(7)
     t.new_layer()
-    t.push_entry(0, True)
-    t.push_entry(1, False)
-    t.push_entry(2, False)
+    t.push_entry(1)
+    t.push_entry(-2)
+    t.push_entry(-3)
     t.new_layer()
-    t.push_entry(3, True)
+    t.push_entry(4)
     t.new_layer()
-    t.push_entry(4, True)
+    t.push_entry(5)
     return t
 
 
@@ -30,20 +30,20 @@ class TestNewLayer:
     def test_existing_layers_unchanged(self):
         t = Trail(7)
         t.new_layer()
-        t.push_entry(0, True)
-        t.push_entry(1, False)
-        t.push_entry(2, False)
+        t.push_entry(1)
+        t.push_entry(-2)
+        t.push_entry(-3)
         t.new_layer()
         assert t.size == 2
-        assert t.layer(0) == [(0, True), (1, False), (2, False)]
+        assert t.layer(0) == [1, -2, -3]
         assert t.layer(1) == []
 
     def test_full_trail_rejected(self):
         t = Trail(2)
         t.new_layer()
-        t.push_entry(0, True)
+        t.push_entry(1)
         t.new_layer()
-        t.push_entry(1, True)
+        t.push_entry(2)
         with pytest.raises(ContractError):
             t.new_layer()
 
@@ -58,45 +58,45 @@ class TestPushEntry:
     def test_push_onto_fresh_layer(self):
         t = Trail(7)
         t.new_layer()
-        t.push_entry(0, True)
-        assert t.layer(0) == [(0, True)]
+        t.push_entry(1)
+        assert t.layer(0) == [1]
 
     def test_push_order_preserved(self):
         t = Trail(7)
         t.new_layer()
-        t.push_entry(0, True)
-        t.push_entry(1, False)
-        t.push_entry(2, False)
-        assert t.layer(0) == [(0, True), (1, False), (2, False)]
+        t.push_entry(1)
+        t.push_entry(-2)
+        t.push_entry(-3)
+        assert t.layer(0) == [1, -2, -3]
 
     def test_duplicate_variable_rejected(self):
         t = Trail(7)
         t.new_layer()
-        t.push_entry(0, True)
+        t.push_entry(1)
         with pytest.raises(ContractError):
-            t.push_entry(0, False)
+            t.push_entry(-1)
 
     def test_push_without_layer_rejected(self):
         t = Trail(3)
         with pytest.raises(ContractError):
-            t.push_entry(0, True)
+            t.push_entry(1)
 
 
 class TestPopLayer:
     def test_pop_top_of_fig2(self):
         t = fig2_trail()
-        assert t.pop_layer() == [(4, True)]
+        assert t.pop_layer() == [5]
         assert t.size == 2
-        assert t.layer(0) == [(0, True), (1, False), (2, False)]
-        assert t.layer(1) == [(3, True)]
+        assert t.layer(0) == [1, -2, -3]
+        assert t.layer(1) == [4]
 
     def test_pop_single_layer(self):
         t = Trail(7)
         t.new_layer()
-        t.push_entry(0, True)
-        t.push_entry(1, False)
-        t.push_entry(2, False)
-        assert t.pop_layer() == [(0, True), (1, False), (2, False)]
+        t.push_entry(1)
+        t.push_entry(-2)
+        t.push_entry(-3)
+        assert t.pop_layer() == [1, -2, -3]
         assert t.size == 0
 
     def test_pop_empty_trail_rejected(self):
@@ -106,10 +106,10 @@ class TestPopLayer:
     def test_pop_then_replay_restores_trail(self):
         t = fig2_trail()
         before = [t.layer(i) for i in range(t.size)]
-        entries = t.pop_layer()
+        literals = t.pop_layer()
         t.new_layer()
-        for variable, value in entries:
-            t.push_entry(variable, value)
+        for literal in literals:
+            t.push_entry(literal)
         assert [t.layer(i) for i in range(t.size)] == before
         assert check_trail_invariants(t)
 
@@ -123,7 +123,22 @@ class TestInvariants:
 
     def test_duplicate_variable_detected(self):
         t = fig2_trail()
-        t.assignments.append((0, False))  # x1 already in layer 0
+        t.assignments.append(-1)  # x1 already in layer 0
+        assert not check_trail_invariants(t)
+
+    @pytest.mark.parametrize("entry", [0, 8, -8, (5, True)],
+                             ids=["zero", "above", "below", "pair"])
+    def test_malformed_entry_detected(self, entry):
+        t = fig2_trail()
+        t.assignments.append(entry)
+        assert not check_trail_invariants(t)
+
+    def test_bool_entry_detected(self):
+        t = Trail(1)
+        t.new_layer()
+        t.push_entry(1)
+        assert check_trail_invariants(t)
+        t.assignments[0] = True  # equals 1, but is not a literal code
         assert not check_trail_invariants(t)
 
     def test_gap_layer_detected(self):
@@ -146,7 +161,7 @@ def test_invariants_hold_under_random_operations(data):
     steps = data.draw(st.integers(0, 30))
     for _ in range(steps):
         ops = []
-        current_nonempty = t.size > 0 and len(t.last_layer()) > 0
+        current_nonempty = t.size > 0 and len(t.layer(t.size - 1)) > 0
         if t.size < n and (t.size == 0 or current_nonempty):
             ops.append("new")
         if t.size > 0 and unused:
@@ -160,9 +175,10 @@ def test_invariants_hold_under_random_operations(data):
             t.new_layer()
         elif op == "push":
             variable = unused.pop(data.draw(st.integers(0, len(unused) - 1)))
-            t.push_entry(variable, data.draw(st.booleans()))
+            t.push_entry(variable + 1 if data.draw(st.booleans())
+                         else -variable - 1)
         else:
-            for variable, _ in t.pop_layer():
-                unused.append(variable)
+            for literal in t.pop_layer():
+                unused.append(abs(literal) - 1)
         assert check_trail_invariants(t)
         assert len(t) <= n
