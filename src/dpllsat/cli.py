@@ -6,6 +6,7 @@ Output and exit codes follow the SAT-competition convention:
 """
 
 import argparse
+import os
 import sys
 import warnings
 from itertools import combinations
@@ -189,7 +190,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early (`dpllsat f.cnf | head`);
+        # point it at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -94,11 +94,13 @@ def parse_dimacs(text):
 
     Accepts `c` comment lines, one `p cnf <vars> <clauses>` header, and
     whitespace-separated integer clauses terminated by 0 (clauses may span
-    lines).  DIMACS literal k maps to internal code k unchanged.  A header
-    clause count that disagrees with the file is a DimacsWarning, not an
-    error.  A line starting with `%` ends the clause data, and the rest of
-    the text is ignored: the SATLIB uniform-random files end with `%` and
-    a stray `0`.
+    lines).  DIMACS literal k maps to internal code k unchanged.  Numbers
+    are ASCII digits with an optional sign; a leading `+` is accepted, as
+    MiniSat's parseInt does, but a `_` or a non-ASCII character outside a
+    comment is a DimacsError.  A header clause count that disagrees with
+    the file is a DimacsWarning, not an error.  A line starting with `%`
+    ends the clause data, and the rest of the text is ignored: the SATLIB
+    uniform-random files end with `%` and a stray `0`.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -114,6 +116,11 @@ def parse_dimacs(text):
             continue
         if stripped.startswith("%"):
             break
+        # int() would also read `1_0` as 10 and non-ASCII digits such as
+        # U+0662; one check per line keeps both out of the token loop
+        if "_" in line or not line.isascii():
+            raise DimacsError("'_' or non-ASCII character in %r" % stripped,
+                              lineno)
         if stripped.startswith("p"):
             if variables_count is not None:
                 raise DimacsError("duplicate 'p cnf' header", lineno)

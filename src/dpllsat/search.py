@@ -10,6 +10,9 @@ A node's clause cursor `start` has a true literal in every clause below it.
 A node scans for its lowest open clause from its parent's cursor, and its
 frame keeps that index for both children.  True counts never fall while
 the trail grows, so a root-to-leaf path scans each clause at most once.
+
+`set_literal` writes each assignment inline, as MiniSat's `uncheckedEnqueue`
+does, and uses the top of the trail as its propagation queue.
 """
 
 import time
@@ -17,8 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .state import (TRUE, UNSET, first_open_clause, get_literal_value,
-                    has_empty_clause, set_variable, undo_last_layer)
+from .state import (FALSE, TRUE, UNSET, first_open_clause,
+                    get_literal_value, has_empty_clause, undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -81,50 +84,77 @@ def choose_literal(state, start=0):
 def set_literal(state, literal, value):
     """Make `literal` evaluate to `value`, then unit-propagate to quiescence.
 
-    All forced assignments land on the current trail layer.  Propagation
-    stops early if a clause becomes fully false; the caller detects the
-    conflict via has_empty_clause.  Trail.push_entry rejects a literal that
-    is out of range or already set, before anything changes.
+    The decision and each forced literal go through one write: append to
+    the current trail layer, set the value, bump the counters.  The new
+    entries `assignments[before:]` are the propagation queue, scanned first
+    to last from `head`.  Propagation stops at the first fully false
+    clause; the caller detects the conflict via has_empty_clause.  No open
+    layer, a literal out of range or already set raise ContractError before
+    anything changes.
     """
-    tau = state.truth_assignment
     trail = state.trail
-    before = len(trail)
+    if not trail.starts:
+        raise ContractError("no open layer")
+    tau = state.truth_assignment
+    if not 0 < abs(literal) <= len(tau):
+        raise ContractError("literal %r out of range" % (literal,))
     if not value:
         literal = -literal
     tracer = state.tracer
-    set_variable(state, abs(literal) - 1, literal > 0)
+    checked = state.checked
+    assignments = trail.assignments
     clauses = state.formula.clauses
     occurrences = state.occurrences
     lengths = state.clause_lengths
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
-    queue = [literal]  # literals made true, in assignment order
-    head = 0
-    while head < len(queue):
-        # clauses where the negation of a true literal just became false
-        candidates = occurrences[-queue[head]]
-        head += 1
-        for index in candidates:
-            if true_counts[index] > 0:
-                continue
-            false_count = false_counts[index]
-            length = lengths[index]
-            if false_count == length:
-                # conflict: remaining propagation is pointless
-                require(len(trail) > before,
-                        "propagation must assign at least one variable")
-                return
-            if false_count == length - 1:
-                for forced in clauses[index]:
-                    if get_literal_value(tau, forced) == UNSET:
-                        break
-                forced_variable = abs(forced) - 1
-                if tracer is not None:
-                    tracer.emit(("propagate", forced_variable, forced > 0,
-                                 index, tracer._tau(state)))
-                set_variable(state, forced_variable, forced > 0)
-                queue.append(forced)
-    require(len(trail) > before,
+    before = head = len(assignments)
+    scan = iter(())  # the clauses left to visit for assignments[head - 1]
+    while literal:
+        variable = abs(literal) - 1
+        if tau[variable] != UNSET:
+            raise ContractError("literal %d is already set" % literal)
+        assignments.append(literal)
+        tau[variable] = TRUE if literal > 0 else FALSE
+        for index in occurrences[literal]:
+            true_counts[index] += 1
+        emptied = 0
+        for index in occurrences[-literal]:
+            count = false_counts[index] + 1
+            false_counts[index] = count
+            if count == lengths[index]:
+                emptied += 1
+        state.false_clauses_count += emptied
+        if checked:
+            state.assert_valid()
+        # the next unit clause: resume the scan of the clauses where the
+        # negation of a queued literal just became false; 0 ends the loop
+        literal = None
+        while literal is None:
+            for index in scan:
+                if true_counts[index] > 0:
+                    continue
+                false_count = false_counts[index]
+                length = lengths[index]
+                if false_count == length:
+                    # conflict: remaining propagation is pointless
+                    literal = 0
+                    break
+                if false_count == length - 1:
+                    for literal in clauses[index]:
+                        if tau[abs(literal) - 1] == UNSET:
+                            break
+                    if tracer is not None:
+                        tracer.emit(("propagate", abs(literal) - 1,
+                                     literal > 0, index, tracer._tau(state)))
+                    break
+            else:
+                if head == len(assignments):
+                    literal = 0  # the queue is empty: quiescence
+                else:
+                    scan = iter(occurrences[-assignments[head]])
+                    head += 1
+    require(len(assignments) > before,
             "propagation must assign at least one variable")
 
 

@@ -1,12 +1,14 @@
 """Mutable search state: the trail, per-clause counters, occurrence lists.
 
 The trail owns the assignment: it stores the literals in push order, and
-`truth_assignment` is its value array, which it sets on a push and resets
-on a pop; `unset_count` is derived from its length.  This module owns the
-counters: `set_variable` builds the literal, pushes it and bumps the
-counters, and `undo_last_layer` pops a layer and rolls back the counters of
-its literals.  `occurrences[literal]` lists the clauses that contain a
-literal, indexed directly by its signed code.
+`truth_assignment` is its value array, which it resets on a pop;
+`unset_count` is derived from its length.  This module owns the counters.
+The search writes each assignment inline in `search.set_literal`: it
+appends the literal to the trail, sets its value and bumps the counters.
+`set_variable` does the same for one variable, for callers outside the
+search.  `undo_last_layer` pops a layer and rolls back the counters of its
+literals in one loop.  `occurrences[literal]` lists the clauses that
+contain a literal, indexed directly by its signed code.
 
 The counters answer the per-clause questions in O(1): a clause is satisfied
 iff its true-literal count is positive, fully false iff its false-literal
@@ -94,7 +96,8 @@ def build_state(formula, checked=False):
 
 def set_variable(state, variable, value):
     """Assign a variable, record it on the current trail layer, and update
-    the counters of exactly the clauses it occurs in."""
+    the counters of exactly the clauses it occurs in.  The search does not
+    call it: search.set_literal writes the same updates inline."""
     literal = variable + 1 if value else -variable - 1
     state.trail.push_entry(literal)
     occurrences = state.occurrences
@@ -115,9 +118,10 @@ def set_variable(state, variable, value):
 
 
 def unset_variable(state, literal):
-    """Roll back set_variable's counter updates for a literal that
-    undo_last_layer has just popped, and whose value the trail has reset.
-    A function of its own so that the benchmark can hook it by name."""
+    """Roll back set_variable's counter updates for a literal just popped
+    from the trail, whose value the trail has reset.  No solver code calls
+    it: undo_last_layer rolls back inline.  It is kept only because the
+    benchmark hooks it by name."""
     occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
@@ -134,10 +138,22 @@ def unset_variable(state, literal):
 
 
 def undo_last_layer(state):
-    """Pop the last trail layer and roll back its counters, newest first."""
-    literals = state.trail.pop_layer()
-    for literal in reversed(literals):
-        unset_variable(state, literal)
+    """Pop the last trail layer, which resets its values, and roll back the
+    counters of its literals, newest first, in one loop."""
+    occurrences = state.occurrences
+    true_counts = state.true_literals_count
+    false_counts = state.false_literals_count
+    lengths = state.clause_lengths
+    emptied = 0
+    for literal in reversed(state.trail.pop_layer()):
+        for index in occurrences[literal]:
+            true_counts[index] -= 1
+        for index in occurrences[-literal]:
+            count = false_counts[index]
+            if count == lengths[index]:
+                emptied += 1
+            false_counts[index] = count - 1
+    state.false_clauses_count -= emptied
     if state.checked:
         state.assert_valid()
 

@@ -1,11 +1,14 @@
 import gzip
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dpllsat import brute_force, check_model, parse_dimacs, to_dimacs
-from dpllsat.cli import (EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
+from dpllsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                          generate_pigeonhole, generate_queens, main)
 from helpers import EXAMPLE1_DIMACS, example1
 
@@ -107,6 +110,20 @@ class TestRun:
         assert captured.err.startswith("error: line %d: " % line)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("data, line", [
+        (b"p cnf 1_0 1\n1 0\n", 1),
+        (b"p cnf 10 1\n1_0 0\n", 2),
+        ("p cnf 2 1\n\u0662 0\n".encode(), 2),
+    ], ids=["underscore_header", "underscore_clause", "unicode_clause"])
+    def test_non_dimacs_digits_are_an_input_error(self, tmp_path, capsys,
+                                                  data, line):
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(data)
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line %d: " % line)
+
     def test_timeout_prints_unknown(self, tmp_path, capsys):
         # pigeonhole with 10 holes is far beyond this solver in 50 ms
         path = write_cnf(tmp_path, to_dimacs(generate_pigeonhole(10)))
@@ -200,3 +217,23 @@ class TestGenSubcommand:
         assert code == EXIT_SAT
         model = parse_model_line(out)
         assert check_model(parse_dimacs(text), model)
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # 200,000 variables print about 1.3 MB of `v` lines, far more than a
+    # pipe holds, so the solver is still writing when the reader closes
+    path = write_cnf(tmp_path, "p cnf 200000 0\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "dpllsat.cli", path], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert process.stdout.readline() == b"s SATISFIABLE\n"
+    process.stdout.close()
+    try:
+        err = process.stderr.read()
+        code = process.wait(timeout=60)
+    finally:
+        process.kill()
+    assert "Traceback" not in err.decode()
+    assert code == EXIT_ERROR

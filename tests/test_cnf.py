@@ -92,6 +92,22 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="line 3"):
             parse_dimacs("c x\np cnf 2 1\nbogus 0\n")
 
+    # int() reads `1_0` as 10 and U+0662 (Arabic-Indic two) as 2
+    @pytest.mark.parametrize("text, line", [
+        ("p cnf 1_0 1\n1 0\n", 1),
+        ("p cnf 10 1\n1_0 0\n", 2),
+        ("p cnf \u0662 1\n1 0\n", 1),
+        ("c \u0662 is fine here\np cnf 2 1\n\u0662 0\n", 3),
+    ], ids=["underscore_header", "underscore_clause", "unicode_header",
+            "unicode_clause"])
+    def test_non_dimacs_digits_rejected(self, text, line):
+        with pytest.raises(DimacsError, match="line %d: " % line):
+            parse_dimacs(text)
+
+    def test_leading_plus_accepted(self):
+        f = parse_dimacs("p cnf +2 +1\n+1 -2 0\n")
+        assert (f.variables_count, f.clauses) == (2, ((1, -2),))
+
 
 # DIMACS tokens and separators, so that generated text often gets past the
 # header and into clause data; listed twice below to outweigh st.text()

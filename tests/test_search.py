@@ -84,6 +84,55 @@ class TestSetLiteral:
         set_literal(s, -3, True)
         assert s.truth_assignment[2] == 0
 
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("opened, literal", [(False, 1), (True, -8),
+                                                 (True, 2)],
+                             ids=["no_open_layer", "out_of_range",
+                                  "already_set"])
+    def test_rejected_literal_changes_nothing(self, opened, literal, checked):
+        s = build_state(example1(), checked=checked)
+        if opened:
+            s.trail.new_layer()
+            set_literal(s, 1, True)  # x1, x2 and x3 set
+            s.trail.new_layer()
+        before, length = s.snapshot(), len(s.trail)
+        for value in (True, False):
+            with pytest.raises(ContractError):
+                set_literal(s, literal, value)
+            assert s.snapshot() == before
+            assert len(s.trail) == length
+
+    def test_trail_top_is_the_propagation_queue(self, monkeypatch):
+        # after each decision its layer holds the decision literal, then the
+        # literals of its propagate events in the order they were emitted
+        layers = []
+        original = dpllsat.search.set_literal
+
+        def recording(state, literal, value):
+            original(state, literal, value)
+            layers.append(state.trail.layer(state.trail.size - 1))
+
+        monkeypatch.setattr(dpllsat.search, "set_literal", recording)
+        rng = make_rng(1212)
+        decisions = 0
+        for _ in range(150):
+            f = random_formula(rng, max_vars=14, max_clauses=50, min_len=2)
+            if f.trivially_unsat:
+                continue
+            tracer = Tracer()
+            layers.clear()
+            solve_formula(f, tracer=tracer)
+            expected = []
+            for event in tracer.events:
+                if event[0] in ("decide", "propagate"):
+                    literal = event[1] + 1 if event[2] else -event[1] - 1
+                    if event[0] == "decide":
+                        expected.append([])
+                    expected[-1].append(literal)
+            assert layers == expected
+            decisions += len(expected)
+        assert decisions > 300
+
     def test_equisatisfiability_contract(self):
         # final assignment extendable iff pre-assignment with l:=value was
         rng = make_rng(303)
