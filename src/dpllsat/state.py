@@ -39,12 +39,18 @@ def get_literal_value(truth_assignment, literal):
 
 def occurrence_lists(formula):
     """Clause indices per literal, ascending, indexed by the signed literal
-    code: 2n+1 lists, negative codes counting back from the end, slot 0
-    unused."""
-    occurrences = [[] for _ in range(2 * formula.variables_count + 1)]
+    code: 2n+1 slots, negative codes counting back from the end, slot 0
+    unused.  A literal that occurs gets its own list; every other slot
+    holds the one empty tuple, so memory follows the literals that occur,
+    not the variable count."""
+    occurrences = [()] * (2 * formula.variables_count + 1)
     for index, clause in enumerate(formula.clauses):
         for literal in clause:
-            occurrences[literal].append(index)
+            indices = occurrences[literal]
+            if indices:
+                indices.append(index)
+            else:
+                occurrences[literal] = [index]
     return occurrences
 
 

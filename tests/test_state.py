@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,25 @@ class TestBuildState:
     def test_occurrence_lists_ascending(self):
         s = fresh_example1_state()
         for indices in s.occurrences:
-            assert indices == sorted(set(indices))
+            assert list(indices) == sorted(set(indices))
+
+    def test_literals_that_never_occur_share_one_empty_tuple(self):
+        s = fresh_example1_state()
+        assert s.occurrences[-7] == () and s.occurrences[0] == ()
+        assert s.occurrences[-7] is s.occurrences[-6] is s.occurrences[0]
+
+    def test_memory_follows_the_literals_that_occur(self):
+        # a million declared variables, one of them used: the state costs a
+        # value slot and two occurrence slots per variable, not two lists
+        formula = parse_dimacs("p cnf 1000000 1\n1 0\n")
+        tracemalloc.start()
+        try:
+            state = build_state(formula)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.occurrences[1] == [0]
+        assert peak <= 32 * formula.variables_count
 
     def test_rejects_trivially_unsat(self):
         f = parse_dimacs("p cnf 1 1\n0\n")
