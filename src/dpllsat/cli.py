@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 import warnings
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from . import __version__
 from .cnf import DimacsError, DimacsWarning, build_formula, parse_dimacs, to_dimacs
@@ -71,19 +71,17 @@ def generate_queens(n):
     return build_formula(n * n, clauses)
 
 
-def _format_model(model):
-    """`v` lines with 1-based signed literals, terminated by 0."""
-    literals = [str(i + 1) if value else str(-(i + 1))
-                for i, value in enumerate(model)]
-    literals.append("0")
-    lines = []
-    for start in range(0, len(literals), 20):
-        lines.append("v " + " ".join(literals[start:start + 20]))
-    return "\n".join(lines)
+def _write_model(model, out):
+    """Write `v` lines of 20 1-based signed literals, terminated by 0, one
+    line at a time."""
+    literals = chain((str(i) if value else str(-i)
+                      for i, value in enumerate(model, 1)), ["0"])
+    for _ in range(0, len(model) + 1, 20):
+        out.write("v %s\n" % " ".join(islice(literals, 20)))
 
 
 def run(input_path, checked=False, time_limit=None, trace=False,
-        verify_model=True, out=None, err=None):
+        out=None, err=None):
     """Parse, solve, and report one instance; returns the process exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
@@ -129,12 +127,12 @@ def run(input_path, checked=False, time_limit=None, trace=False,
                 print("c backtrack to level %d" % event[1], file=out)
 
     if result.satisfiable:
-        if verify_model and not check_model(formula, result.model):
+        if not check_model(formula, result.model):
             print("error: produced model failed independent verification",
                   file=err)
             return EXIT_ERROR
         print("s SATISFIABLE", file=out)
-        print(_format_model(result.model), file=out)
+        _write_model(result.model, out)
         return EXIT_SAT
     print("s UNSATISFIABLE", file=out)
     return EXIT_UNSAT
@@ -177,16 +175,13 @@ def main(argv=None):
                         help="give up after S seconds (prints s UNKNOWN)")
     parser.add_argument("--trace", action="store_true",
                         help="print decision/propagation events as comments")
-    parser.add_argument("--no-verify-model", dest="verify_model",
-                        action="store_false",
-                        help="skip independent re-checking of SAT models")
     parser.add_argument("input", metavar="file.cnf|-",
                         help="DIMACS CNF file, or - for standard input")
     args = parser.parse_args(argv)
     if args.time_limit is not None and args.time_limit <= 0:
         parser.error("--time-limit must be positive")
     return run(args.input, checked=args.checked, time_limit=args.time_limit,
-               trace=args.trace, verify_model=args.verify_model)
+               trace=args.trace)
 
 
 def entry():

@@ -146,57 +146,42 @@ def _parse_header(stripped, lineno):
 def _read_clause_data(text, start, stop, variables_count, literals):
     """Append the literals of text[start:stop], whole lines of clause data,
     to `literals`, a batch of lines at a time; variables_count is None
-    before the header.  A check that fails raises the first DimacsError of
-    the text."""
+    before the header.  A batch that fails a check is read again line by
+    line, to raise its first DimacsError."""
     while start < stop:
         cut = text.find("\n", start + _BATCH_CHARS, stop)
         if cut < 0:
             cut = stop
         batch = text[start:cut]
-        start = cut
-        # a blank line may hold non-ASCII whitespace
-        if _bad_characters(batch) and any(
-                line.strip() and _bad_characters(line)
-                for line in batch.split("\n")):
-            _raise_first_error(text)
         tokens = batch.split()
-        if not tokens:
-            continue
         try:
             values = {token: int(token) for token in set(tokens)}
         except ValueError:
             values = None
-        if (variables_count is None or values is None
+        if tokens and (
+                # a blank line may hold non-ASCII whitespace
+                _bad_characters(batch) and any(
+                    line.strip() and _bad_characters(line)
+                    for line in batch.split("\n"))
+                or variables_count is None or values is None
                 or max(values.values()) > variables_count
                 or min(values.values()) < -variables_count):
-            _raise_first_error(text)
+            _raise_batch_error(batch, text.count("\n", 0, start) + 1,
+                               variables_count)
         literals += map(values.__getitem__, tokens)
+        start = cut
 
 
-def _raise_first_error(text):
-    """Raise the DimacsError for the first fault in text, walking it line
-    by line.  parse_dimacs checks many lines at once and calls this when a
-    check fails, to find the line and the token at fault."""
-    variables_count = None
-    open_clause = False
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # a final line break ends the last line
-    lineno = 0
-    for lineno, line in enumerate(lines, 1):
+def _raise_batch_error(batch, lineno, variables_count):
+    """Raise the DimacsError for the first fault in a batch of clause data
+    lines that failed a check; lineno is the number of its first line."""
+    for lineno, line in enumerate(batch.split("\n"), lineno):
         stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
+        if not stripped:
             continue
-        if stripped.startswith("%"):
-            break
         if _bad_characters(line):
             raise DimacsError("'_' or non-ASCII character in %r" % stripped,
                               lineno)
-        if stripped.startswith("p"):
-            if variables_count is not None:
-                raise DimacsError("duplicate 'p cnf' header", lineno)
-            variables_count = _parse_header(stripped, lineno)[0]
-            continue
         if variables_count is None:
             raise DimacsError("clause data before 'p cnf' header", lineno)
         for token in stripped.split():
@@ -209,12 +194,7 @@ def _raise_first_error(text):
                 raise DimacsError(
                     "literal %d exceeds declared variable count %d"
                     % (lit, variables_count), lineno)
-            open_clause = lit != 0
-    if variables_count is None:
-        raise DimacsError("missing 'p cnf' header")
-    if open_clause:
-        raise DimacsError("last clause lacks terminating 0", lineno)
-    raise ContractError("parse_dimacs rejected well-formed input")
+    raise ContractError("a check rejected well-formed clause data")
 
 
 def parse_dimacs(text):
@@ -234,6 +214,9 @@ def parse_dimacs(text):
 
     One regular expression finds the comment, header and `%` lines; the
     clause data between them is split and checked many lines at a time.
+    Each fault is raised where it is found: on the header line, after the
+    last line, or, for clause data, by reading again line by line only the
+    batch of lines that failed a check.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -254,13 +237,22 @@ def parse_dimacs(text):
             start = stop
         if match[1] == "p":
             line = text[line_start:start]
-            if variables_count is not None or _bad_characters(line):
-                _raise_first_error(text)
+            lineno = text.count("\n", 0, line_start) + 1
+            if _bad_characters(line):
+                raise DimacsError("'_' or non-ASCII character in %r"
+                                  % line.strip(), lineno)
+            if variables_count is not None:
+                raise DimacsError("duplicate 'p cnf' header", lineno)
             variables_count, declared_clauses = _parse_header(
-                line.strip(), text.count("\n", 0, line_start) + 1)
+                line.strip(), lineno)
     _read_clause_data(text, start, stop, variables_count, literals)
-    if variables_count is None or literals and literals[-1]:
-        _raise_first_error(text)
+    if variables_count is None:
+        raise DimacsError("missing 'p cnf' header")
+    if literals and literals[-1]:
+        # on the `%` line, or else the text's last line; a final line break
+        # starts no new line
+        raise DimacsError("last clause lacks terminating 0",
+                          text.count("\n", 0, min(stop, len(text) - 1)) + 1)
     # a slice of a tuple is a tuple, which build_formula stores as it is
     literals = tuple(literals)
     zeros = list(compress(range(len(literals)), map(not_, literals)))

@@ -7,7 +7,8 @@ The search writes each assignment inline in `search.set_literal`: it
 appends the literal to the trail, sets its value and bumps the counters.
 `set_variable` does the same for one variable, for callers outside the
 search.  `undo_last_layer` pops a layer and rolls back the counters of its
-literals in one loop.  `occurrences[literal]` lists the clauses that
+literals in one loop; `unset_variable` runs the same loop for one literal
+that the caller has popped.  `occurrences[literal]` lists the clauses that
 contain a literal, indexed directly by its signed code.
 
 The counters answer the per-clause questions in O(1): a clause is satisfied
@@ -123,35 +124,15 @@ def set_variable(state, variable, value):
         state.assert_valid()
 
 
-def unset_variable(state, literal):
-    """Roll back set_variable's counter updates for a literal just popped
-    from the trail, whose value the trail has reset.  No solver code calls
-    it: undo_last_layer rolls back inline.  It is kept only because the
-    benchmark hooks it by name."""
-    occurrences = state.occurrences
-    true_counts = state.true_literals_count
-    false_counts = state.false_literals_count
-    lengths = state.clause_lengths
-    for index in occurrences[literal]:
-        true_counts[index] -= 1
-    emptied = 0
-    for index in occurrences[-literal]:
-        count = false_counts[index]
-        if count == lengths[index]:
-            emptied += 1
-        false_counts[index] = count - 1
-    state.false_clauses_count -= emptied
-
-
-def undo_last_layer(state):
-    """Pop the last trail layer, which resets its values, and roll back the
-    counters of its literals, newest first, in one loop."""
+def _roll_back(state, literals):
+    """Roll back the counter updates of literals just popped from the
+    trail, which has reset their values, in the order given."""
     occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
     lengths = state.clause_lengths
     emptied = 0
-    for literal in reversed(state.trail.pop_layer()):
+    for literal in literals:
         for index in occurrences[literal]:
             true_counts[index] -= 1
         for index in occurrences[-literal]:
@@ -160,6 +141,19 @@ def undo_last_layer(state):
                 emptied += 1
             false_counts[index] = count - 1
     state.false_clauses_count -= emptied
+
+
+def unset_variable(state, literal):
+    """Roll back set_variable's counter updates for a literal just popped
+    from the trail, whose value the trail has reset.  The search does not
+    call it: it undoes whole layers with undo_last_layer."""
+    _roll_back(state, (literal,))
+
+
+def undo_last_layer(state):
+    """Pop the last trail layer, which resets its values, and roll back the
+    counters of its literals, newest first, in one loop."""
+    _roll_back(state, reversed(state.trail.pop_layer()))
     if state.checked:
         state.assert_valid()
 

@@ -3,13 +3,15 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from dpllsat import brute_force, check_model, parse_dimacs, to_dimacs
 from dpllsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
-                         generate_pigeonhole, generate_queens, main)
+                         _write_model, generate_pigeonhole, generate_queens,
+                         main)
 from helpers import EXAMPLE1_DIMACS, example1
 
 
@@ -237,3 +239,37 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
         process.kill()
     assert "Traceback" not in err.decode()
     assert code == EXIT_ERROR
+
+
+ONE_TO_20 = " ".join(map(str, range(1, 21)))
+
+
+@pytest.mark.parametrize("model, expected", [
+    ((), "v 0\n"),
+    ((True, False, True), "v 1 -2 3 0\n"),
+    ((True,) * 19, "v %s 0\n" % ONE_TO_20[:-3]),
+    ((True,) * 20, "v %s\nv 0\n" % ONE_TO_20),
+    ((True,) * 21, "v %s\nv 21 0\n" % ONE_TO_20),
+])
+def test_model_lines(model, expected):
+    # 20 literals to a line; a lone `v 0` when n is a multiple of 20
+    out = io.StringIO()
+    _write_model(model, out)
+    assert out.getvalue() == expected
+
+
+def test_model_lines_are_written_one_at_a_time():
+    # a million variables: what printing holds at once is one line, not a
+    # string for every literal
+    class Discard:
+        def write(self, text):
+            pass
+
+    model = (True, False) * 500000
+    tracemalloc.start()
+    try:
+        _write_model(model, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16384

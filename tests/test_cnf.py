@@ -149,6 +149,11 @@ class TestParseDimacs:
         ("p cnf 2 1\n1 2\nc end\n\n", "line 4: last clause lacks"),
         ("p cnf 2 1\n1 2\n%\n0\n", "line 3: last clause lacks"),
         ("c only\n%\np cnf 1 1\n", "missing 'p cnf' header"),
+        ("p cnf 2 1_\n1 0\n", "line 1: '_' or non-ASCII"),
+        ("p cnf 2 1\n1 0\np cnf 2\xa01\n", "line 3: '_' or non-ASCII"),
+        ("p cnf 2 1\n1 0\np cnf 2 1\xa0\n", "line 3: '_' or non-ASCII"),
+        ("p cnf 2 1\n1 2", "line 2: last clause lacks"),
+        ("p cnf 2 1\n1 2\n\n\nc x", "line 5: last clause lacks"),
     ])
     def test_first_fault_is_reported(self, text, message):
         with pytest.raises(DimacsError) as caught:

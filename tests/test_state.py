@@ -9,6 +9,7 @@ from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      get_literal_value, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
                      parse_dimacs, set_variable, undo_last_layer)
+from dpllsat.state import unset_variable
 from helpers import example1, make_rng, random_formula
 
 
@@ -130,6 +131,31 @@ class TestUnsetVariable:
         s = fresh_example1_state()
         with pytest.raises(ContractError):
             undo_last_layer(s)
+
+    def test_unset_variable_after_pop_restores_snapshot(self):
+        # x1 := false empties the unit clause (1), so the fully-false
+        # clause count is rolled back too
+        s = build_state(build_formula(2, [[1], [-1, 2], [1, -2]]))
+        before = s.snapshot()
+        s.trail.new_layer()
+        set_variable(s, 0, False)
+        assert s.false_clauses_count == 1
+        (literal,) = s.trail.pop_layer()
+        unset_variable(s, literal)
+        assert s.snapshot() == before
+        assert check_state_invariants(s)
+
+    def test_undo_last_layer_after_several_sets_restores_snapshot(self):
+        s = fresh_example1_state()
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        before = s.snapshot()
+        s.trail.new_layer()
+        for variable, value in [(1, False), (4, True), (6, False)]:
+            set_variable(s, variable, value)
+        undo_last_layer(s)
+        assert s.snapshot() == before
+        assert check_state_invariants(s)
 
 
 class TestClauseStatus:
