@@ -178,7 +178,7 @@ def main(argv=None):
     parser.add_argument("input", metavar="file.cnf|-",
                         help="DIMACS CNF file, or - for standard input")
     args = parser.parse_args(argv)
-    if args.time_limit is not None and args.time_limit <= 0:
+    if args.time_limit is not None and not args.time_limit > 0:
         parser.error("--time-limit must be positive")
     return run(args.input, checked=args.checked, time_limit=args.time_limit,
                trace=args.trace)

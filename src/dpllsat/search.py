@@ -11,8 +11,9 @@ A node scans for its lowest open clause from its parent's cursor, and its
 frame keeps that index for both children.  True counts never fall while
 the trail grows, so a root-to-leaf path scans each clause at most once.
 
-`set_literal` writes each assignment inline, as MiniSat's `uncheckedEnqueue`
-does, and uses the top of the trail as its propagation queue.
+`set_literal` holds no counter code: it writes the literals that
+`state.forced_literals` yields through `state._assign`, the one write loop,
+as MiniSat's `propagate` hands each forced literal to `uncheckedEnqueue`.
 """
 
 import time
@@ -20,8 +21,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .state import (FALSE, TRUE, UNSET, first_open_clause,
-                    get_literal_value, has_empty_clause, undo_last_layer)
+from .state import (TRUE, UNSET, _assign, _require_entry, first_open_clause,
+                    forced_literals, get_literal_value, has_empty_clause,
+                    undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -48,7 +50,8 @@ class Tracer:
       ("sat", tau)
       ("branch_unsat", tau)
     Assignment snapshots are recorded only with snapshot_assignments=True;
-    otherwise those slots hold None.
+    otherwise those slots hold None.  The solver fills them with
+    `assignment(state)`, which a subclass may override.
     """
 
     def __init__(self, snapshot_assignments=False):
@@ -58,7 +61,9 @@ class Tracer:
     def emit(self, event):
         self.events.append(event)
 
-    def _tau(self, state):
+    def assignment(self, state):
+        """The truth assignment to record in an event: a copy with
+        snapshot_assignments=True, else None."""
         if self.snapshot_assignments:
             return tuple(state.truth_assignment)
         return None
@@ -84,77 +89,16 @@ def choose_literal(state, start=0):
 def set_literal(state, literal, value):
     """Make `literal` evaluate to `value`, then unit-propagate to quiescence.
 
-    The decision and each forced literal go through one write: append to
-    the current trail layer, set the value, bump the counters.  The new
-    entries `assignments[before:]` are the propagation queue, scanned first
-    to last from `head`.  Propagation stops at the first fully false
-    clause; the caller detects the conflict via has_empty_clause.  No open
-    layer, a literal out of range or already set raise ContractError before
-    anything changes.
+    The decision and each literal it forces are written through the one
+    write loop, `state._assign`, as `state.forced_literals` yields them.
+    Propagation stops at the first fully false clause; the caller detects
+    the conflict via has_empty_clause.  No open layer, a literal out of
+    range or already set raise ContractError before anything changes.
     """
-    trail = state.trail
-    if not trail.starts:
-        raise ContractError("no open layer")
-    tau = state.truth_assignment
-    if not 0 < abs(literal) <= len(tau):
-        raise ContractError("literal %r out of range" % (literal,))
-    if not value:
-        literal = -literal
-    tracer = state.tracer
-    checked = state.checked
-    assignments = trail.assignments
-    clauses = state.formula.clauses
-    occurrences = state.occurrences
-    lengths = state.clause_lengths
-    true_counts = state.true_literals_count
-    false_counts = state.false_literals_count
-    before = head = len(assignments)
-    scan = iter(())  # the clauses left to visit for assignments[head - 1]
-    while literal:
-        variable = abs(literal) - 1
-        if tau[variable] != UNSET:
-            raise ContractError("literal %d is already set" % literal)
-        assignments.append(literal)
-        tau[variable] = TRUE if literal > 0 else FALSE
-        for index in occurrences[literal]:
-            true_counts[index] += 1
-        emptied = 0
-        for index in occurrences[-literal]:
-            count = false_counts[index] + 1
-            false_counts[index] = count
-            if count == lengths[index]:
-                emptied += 1
-        state.false_clauses_count += emptied
-        if checked:
-            state.assert_valid()
-        # the next unit clause: resume the scan of the clauses where the
-        # negation of a queued literal just became false; 0 ends the loop
-        literal = None
-        while literal is None:
-            for index in scan:
-                if true_counts[index] > 0:
-                    continue
-                false_count = false_counts[index]
-                length = lengths[index]
-                if false_count == length:
-                    # conflict: remaining propagation is pointless
-                    literal = 0
-                    break
-                if false_count == length - 1:
-                    for literal in clauses[index]:
-                        if tau[abs(literal) - 1] == UNSET:
-                            break
-                    if tracer is not None:
-                        tracer.emit(("propagate", abs(literal) - 1,
-                                     literal > 0, index, tracer._tau(state)))
-                    break
-            else:
-                if head == len(assignments):
-                    literal = 0  # the queue is empty: quiescence
-                else:
-                    scan = iter(occurrences[-assignments[head]])
-                    head += 1
-    require(len(assignments) > before,
+    _require_entry(state, literal, abs(literal) - 1)
+    before = len(state.trail)
+    _assign(state, forced_literals(state, literal if value else -literal))
+    require(len(state.trail) > before,
             "propagation must assign at least one variable")
 
 
@@ -220,7 +164,7 @@ def _search(state, deadline, start):
                 _decide(state, literal, False)
                 break
             if tracer is not None:
-                tracer.emit(("branch_unsat", tracer._tau(state)))
+                tracer.emit(("branch_unsat", tracer.assignment(state)))
         else:
             return result
 

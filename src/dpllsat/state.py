@@ -3,13 +3,13 @@
 The trail owns the assignment: it stores the literals in push order, and
 `truth_assignment` is its value array, which it resets on a pop;
 `unset_count` is derived from its length.  This module owns the counters.
-The search writes each assignment inline in `search.set_literal`: it
-appends the literal to the trail, sets its value and bumps the counters.
-`set_variable` does the same for one variable, for callers outside the
-search.  `undo_last_layer` pops a layer and rolls back the counters of its
-literals in one loop; `unset_variable` runs the same loop for one literal
-that the caller has popped.  `occurrences[literal]` lists the clauses that
-contain a literal, indexed directly by its signed code.
+One loop, `_assign`, makes literals true: it appends each to the trail,
+sets its value and bumps the counters; `set_variable` feeds it one
+literal, the search what `forced_literals` yields.  `undo_last_layer`
+pops a layer and rolls back the counters of its literals in one loop;
+`unset_variable` runs the same loop for one literal that the caller has
+popped.  `occurrences[literal]` lists the clauses that contain a literal,
+indexed directly by its signed code.
 
 The counters answer the per-clause questions in O(1): a clause is satisfied
 iff its true-literal count is positive, fully false iff its false-literal
@@ -101,27 +101,85 @@ def build_state(formula, checked=False):
     return SolverState(formula, checked=checked)
 
 
-def set_variable(state, variable, value):
-    """Assign a variable, record it on the current trail layer, and update
-    the counters of exactly the clauses it occurs in.  The search does not
-    call it: search.set_literal writes the same updates inline."""
-    literal = variable + 1 if value else -variable - 1
-    state.trail.push_entry(literal)
+def _require_entry(state, literal, variable):
+    """The entry checks of a write: a layer is open and `variable`, the
+    variable of `literal`, is in range."""
+    if not state.trail.starts:
+        raise ContractError("no open layer")
+    if not 0 <= variable < len(state.truth_assignment):
+        raise ContractError("literal %r out of range" % (literal,))
+
+
+def _assign(state, literals):
+    """Make each literal true in turn on the current layer: append it to the
+    trail, set its value, bump the counters of the clauses it occurs in.
+    A literal already set raises ContractError before it is written."""
+    tau = state.truth_assignment
+    assignments = state.trail.assignments
     occurrences = state.occurrences
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
     lengths = state.clause_lengths
-    for index in occurrences[literal]:
-        true_counts[index] += 1
-    emptied = 0
-    for index in occurrences[-literal]:
-        count = false_counts[index] + 1
-        false_counts[index] = count
-        if count == lengths[index]:
-            emptied += 1
-    state.false_clauses_count += emptied
-    if state.checked:
-        state.assert_valid()
+    checked = state.checked
+    for literal in literals:
+        variable = abs(literal) - 1
+        if tau[variable] != UNSET:
+            raise ContractError("literal %d is already set" % literal)
+        assignments.append(literal)
+        tau[variable] = TRUE if literal > 0 else FALSE
+        for index in occurrences[literal]:
+            true_counts[index] += 1
+        for index in occurrences[-literal]:
+            count = false_counts[index] + 1
+            false_counts[index] = count
+            if count == lengths[index]:
+                state.false_clauses_count += 1
+        if checked:
+            state.assert_valid()
+
+
+def set_variable(state, variable, value):
+    """Assign one variable on the current trail layer, with no propagation;
+    the search writes through the same loop."""
+    literal = variable + 1 if value else -variable - 1
+    _require_entry(state, literal, variable)
+    _assign(state, (literal,))
+
+
+def forced_literals(state, literal):
+    """Yield `literal`, then each literal that unit propagation forces; the
+    consumer makes each one true before it asks for the next.
+
+    The trail from its length on entry is the queue, read from `head`.  For
+    each queued literal the clauses holding its negation are visited in
+    index order: a fully false one (a conflict) ends the generator, and an
+    open one with a single unset literal forces it.
+    """
+    assignments = state.trail.assignments
+    head = len(assignments)
+    yield literal
+    tau = state.truth_assignment
+    tracer = state.tracer
+    occurrences = state.occurrences
+    lengths = state.clause_lengths
+    true_counts = state.true_literals_count
+    false_counts = state.false_literals_count
+    while head < len(assignments):
+        for index in occurrences[-assignments[head]]:
+            if true_counts[index] > 0:
+                continue
+            unset = lengths[index] - false_counts[index]
+            if unset == 0:
+                return  # conflict: remaining propagation is pointless
+            if unset == 1:
+                for literal in state.formula.clauses[index]:
+                    if tau[abs(literal) - 1] == UNSET:
+                        break
+                if tracer is not None:
+                    tracer.emit(("propagate", abs(literal) - 1, literal > 0,
+                                 index, tracer.assignment(state)))
+                yield literal
+        head += 1
 
 
 def _roll_back(state, literals):
@@ -131,16 +189,14 @@ def _roll_back(state, literals):
     true_counts = state.true_literals_count
     false_counts = state.false_literals_count
     lengths = state.clause_lengths
-    emptied = 0
     for literal in literals:
         for index in occurrences[literal]:
             true_counts[index] -= 1
         for index in occurrences[-literal]:
             count = false_counts[index]
             if count == lengths[index]:
-                emptied += 1
+                state.false_clauses_count -= 1
             false_counts[index] = count - 1
-    state.false_clauses_count -= emptied
 
 
 def unset_variable(state, literal):

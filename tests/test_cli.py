@@ -133,6 +133,17 @@ class TestRun:
         assert code == EXIT_UNKNOWN
         assert capsys.readouterr().out.strip() == "s UNKNOWN"
 
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_time_limit_not_positive_is_a_usage_error(self, tmp_path, capsys,
+                                                      limit):
+        path = write_cnf(tmp_path, to_dimacs(generate_pigeonhole(3)))
+        with pytest.raises(SystemExit) as raised:
+            main(["--time-limit", limit, path])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "--time-limit must be positive" in err
+        assert "Traceback" not in err
+
     def test_checked_and_trace_flags(self, tmp_path, capsys):
         code = main(["--checked", "--trace",
                      write_cnf(tmp_path, EXAMPLE1_DIMACS)])
@@ -237,6 +248,7 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
         code = process.wait(timeout=60)
     finally:
         process.kill()
+        process.stderr.close()
     assert "Traceback" not in err.decode()
     assert code == EXIT_ERROR
 

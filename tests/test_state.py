@@ -8,7 +8,8 @@ from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      build_state, check_state_invariants, first_open_clause,
                      get_literal_value, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
-                     parse_dimacs, set_variable, undo_last_layer)
+                     parse_dimacs, set_literal, set_variable,
+                     undo_last_layer)
 from dpllsat.state import unset_variable
 from helpers import example1, make_rng, random_formula
 
@@ -103,6 +104,37 @@ class TestSetVariable:
         before = s.unset_count
         set_variable(s, 3, True)
         assert s.unset_count == before - 1
+
+
+WRITES = {"set_variable": set_variable, "set_literal": set_literal}
+
+
+@pytest.mark.parametrize("write, layer, args, message", [
+    ("set_variable", False, (0, True), "no open layer"),
+    ("set_literal", False, (1, True), "no open layer"),
+    ("set_literal", True, (0, True), "literal 0 out of range"),
+    ("set_literal", True, (8, True), "literal 8 out of range"),
+    ("set_literal", True, (-8, False), "literal -8 out of range"),
+    ("set_variable", True, (-1, True), "literal 0 out of range"),
+    ("set_variable", True, (-2, True), "literal -1 out of range"),
+    ("set_variable", True, (7, True), "literal 8 out of range"),
+    ("set_variable", True, (7, False), "literal -8 out of range"),
+    ("set_variable", True, (0, False), "literal -1 is already set"),
+    ("set_literal", True, (1, True), "literal 1 is already set"),
+    ("set_literal", True, (1, False), "literal -1 is already set"),
+])
+@pytest.mark.parametrize("checked", [False, True])
+def test_rejected_write_changes_nothing(write, layer, args, message, checked):
+    # example1 has 7 variables; with a layer open, x1 is already true
+    s = fresh_example1_state(checked=checked)
+    if layer:
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+    before = s.snapshot()
+    with pytest.raises(ContractError) as raised:
+        WRITES[write](s, *args)
+    assert str(raised.value) == message
+    assert s.snapshot() == before
 
 
 class TestUnsetVariable:
