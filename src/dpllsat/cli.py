@@ -6,9 +6,13 @@ Output and exit codes follow the SAT-competition convention:
 """
 
 import argparse
+import bz2
+import gzip
+import lzma
 import os
 import sys
 import warnings
+import zlib
 from itertools import chain, combinations, islice
 
 from . import __version__
@@ -71,6 +75,27 @@ def generate_queens(n):
     return build_formula(n * n, clauses)
 
 
+# the magic bytes that start a compressed stream, its format's name, and the
+# module that decompresses it
+_COMPRESSED = ((b"\x1f\x8b", "gzip", gzip), (b"BZh", "bzip2", bz2),
+               (b"\xfd7zXZ\x00", "xz", lzma))
+
+
+def _decompressed(data):
+    """The bytes of a gzip, bzip2 or xz stream, told apart by their magic
+    bytes, decompressed; other data as it is.  A corrupt or truncated
+    stream raises DimacsError."""
+    for magic, name, module in _COMPRESSED:
+        if data.startswith(magic):
+            try:
+                return module.decompress(data)
+            except (OSError, EOFError, ValueError, zlib.error,
+                    lzma.LZMAError) as exc:
+                raise DimacsError("corrupt %s input: %s"
+                                  % (name, exc)) from None
+    return data
+
+
 def _write_model(model, out):
     """Write `v` lines of 20 1-based signed literals, terminated by 0, one
     line at a time."""
@@ -93,6 +118,7 @@ def run(input_path, checked=False, time_limit=None, trace=False,
             else:
                 with open(input_path, "rb") as handle:
                     data = handle.read()
+            data = _decompressed(data)
             # a non-ASCII byte becomes U+FFFD, which only a comment accepts
             formula = parse_dimacs(data.decode("ascii", "replace"))
         for warning in caught:
@@ -105,7 +131,14 @@ def run(input_path, checked=False, time_limit=None, trace=False,
         print("s UNSATISFIABLE", file=out)
         return EXIT_UNSAT
 
-    state = build_state(formula, checked=checked)
+    try:
+        state = build_state(formula, checked=checked)
+    except (MemoryError, OverflowError):
+        # the header's variable count, which sets the size of the value
+        # array, is beyond what a list can hold
+        print("error: variable count %d is too large"
+              % formula.variables_count, file=err)
+        return EXIT_ERROR
     tracer = Tracer() if trace else None
     state.tracer = tracer
     try:

@@ -8,8 +8,7 @@ integers used in DIMACS files.
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress, pairwise
-from operator import not_
+from itertools import chain
 
 from ._contracts import ContractError, require
 
@@ -61,10 +60,6 @@ class CnfFormula:
     def __post_init__(self):
         require(self.variables_count >= 0,
                 "variables_count must be nonnegative")
-        if all(self.clauses) and not _out_of_range(
-                set(chain.from_iterable(self.clauses)), self.variables_count):
-            return
-        # a check failed: find the first clause or literal at fault
         for clause in self.clauses:
             require(len(clause) > 0, "stored clauses must be nonempty")
             for lit in clause:
@@ -72,13 +67,41 @@ class CnfFormula:
                         "literal %r out of range" % (lit,))
 
 
-def _out_of_range(literals, variables_count):
-    """True iff a set of literals holds 0 or a literal whose variable is
-    above variables_count.  Sets, because the distinct literals of a
-    formula are few."""
-    return bool(literals) and (0 in literals
-                               or max(literals) > variables_count
-                               or min(literals) < -variables_count)
+def _formula(variables_count, clauses, trivially_unsat):
+    """A CnfFormula built without __post_init__'s checks, for fields that
+    the caller has already checked."""
+    formula = object.__new__(CnfFormula)
+    vars(formula).update(variables_count=variables_count, clauses=clauses,
+                         trivially_unsat=trivially_unsat)
+    return formula
+
+
+def _split_clauses(variables_count, literals):
+    """(formula, raw clause count) from a tuple of in-range literals in
+    which every clause, the last one too, ends with a 0.  Normalizes as
+    build_formula does."""
+    clauses = []
+    dropped = 0  # empty and tautological clauses
+    trivially_unsat = False
+    index = literals.index
+    start = 0
+    end = len(literals)
+    while start < end:
+        stop = index(0, start)
+        # a slice of a tuple is a tuple, stored as it is
+        raw = literals[start:stop]
+        start = stop + 1
+        # a variable that occurs twice is a duplicate or a tautology
+        if not raw or len(set(map(abs, raw))) != len(raw):
+            raw = normalize_clause(raw)
+            if not raw:  # None for a tautology, [] for an empty clause
+                dropped += 1
+                trivially_unsat |= raw is not None
+                continue
+            raw = tuple(raw)
+        clauses.append(raw)
+    return (_formula(variables_count, tuple(clauses), trivially_unsat),
+            len(clauses) + dropped)
 
 
 def build_formula(variables_count, raw_clauses):
@@ -87,26 +110,22 @@ def build_formula(variables_count, raw_clauses):
     Tautological clauses are dropped; an empty clause (before or after
     deduplication it cannot become empty, only genuinely empty input does)
     sets trivially_unsat.
+
+    The literals are range-checked here, a ValueError naming the first
+    one out of range, so the formula is built without CnfFormula's own
+    checks.
     """
     raw_clauses = list(raw_clauses)
-    if _out_of_range(set(chain.from_iterable(raw_clauses)), variables_count):
+    # one check of the distinct literals, which are few
+    distinct = set(chain.from_iterable(raw_clauses))
+    if distinct and (0 in distinct or max(distinct) > variables_count
+                     or min(distinct) < -variables_count):
         lit = next(lit for lit in chain.from_iterable(raw_clauses)
                    if lit == 0 or abs(lit) > variables_count)
         raise ValueError("literal %r out of range for %d variables"
                          % (lit, variables_count))
-    clauses = []
-    trivially_unsat = False
-    for raw in raw_clauses:
-        # a variable that occurs twice is a duplicate or a tautology
-        if len(set(map(abs, raw))) != len(raw):
-            raw = normalize_clause(raw)
-            if raw is None:
-                continue
-        if not raw:
-            trivially_unsat = True
-            continue
-        clauses.append(tuple(raw))
-    return CnfFormula(variables_count, tuple(clauses), trivially_unsat)
+    literals = tuple(chain.from_iterable((*raw, 0) for raw in raw_clauses))
+    return _split_clauses(variables_count, literals)[0]
 
 
 # A line whose first nonblank character is one of these is a comment, the
@@ -118,6 +137,17 @@ _SPECIAL_LINE = re.compile(r"\n[^\S\n]*([cp%])")
 # clause data is split and converted in batches of lines of about this
 # many characters, so that the token list does not grow with the file
 _BATCH_CHARS = 1 << 16
+# a DimacsError message quotes at most this many characters of the input,
+# so that a binary file gives a short message
+_EXCERPT_CHARS = 40
+
+
+def _excerpt(text):
+    """repr of a piece of the input for a DimacsError message, cut after
+    _EXCERPT_CHARS characters and marked with `...`."""
+    if len(text) <= _EXCERPT_CHARS:
+        return repr(text)
+    return repr(text[:_EXCERPT_CHARS]) + "..."
 
 
 def _bad_characters(line):
@@ -129,13 +159,13 @@ def _parse_header(stripped, lineno):
     """(variables, clauses) from a stripped line that starts with `p`."""
     parts = stripped.split()
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-        raise DimacsError("malformed header %r" % stripped, lineno)
+        raise DimacsError("malformed header %s" % _excerpt(stripped), lineno)
     try:
         variables_count = int(parts[2])
         declared_clauses = int(parts[3])
     except ValueError:
-        raise DimacsError("non-integer counts in header %r" % stripped,
-                          lineno) from None
+        raise DimacsError("non-integer counts in header %s"
+                          % _excerpt(stripped), lineno) from None
     if variables_count < 0:
         raise DimacsError("variable count must be nonnegative", lineno)
     if declared_clauses < 0:
@@ -180,15 +210,15 @@ def _raise_batch_error(batch, lineno, variables_count):
         if not stripped:
             continue
         if _bad_characters(line):
-            raise DimacsError("'_' or non-ASCII character in %r" % stripped,
-                              lineno)
+            raise DimacsError("'_' or non-ASCII character in %s"
+                              % _excerpt(stripped), lineno)
         if variables_count is None:
             raise DimacsError("clause data before 'p cnf' header", lineno)
         for token in stripped.split():
             try:
                 lit = int(token)
             except ValueError:
-                raise DimacsError("non-integer token %r" % token,
+                raise DimacsError("non-integer token %s" % _excerpt(token),
                                   lineno) from None
             if abs(lit) > variables_count:
                 raise DimacsError(
@@ -216,7 +246,13 @@ def parse_dimacs(text):
     clause data between them is split and checked many lines at a time.
     Each fault is raised where it is found: on the header line, after the
     last line, or, for clause data, by reading again line by line only the
-    batch of lines that failed a check.
+    batch of lines that failed a check.  A message quotes at most 40
+    characters of the input.
+
+    Those per-batch checks, for a bad character, data before the header, a
+    token that is not an integer and a literal out of range, are the only
+    checks of the clause data: the formula is built from it without
+    build_formula's or CnfFormula's own range checks.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -239,8 +275,8 @@ def parse_dimacs(text):
             line = text[line_start:start]
             lineno = text.count("\n", 0, line_start) + 1
             if _bad_characters(line):
-                raise DimacsError("'_' or non-ASCII character in %r"
-                                  % line.strip(), lineno)
+                raise DimacsError("'_' or non-ASCII character in %s"
+                                  % _excerpt(line.strip()), lineno)
             if variables_count is not None:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
             variables_count, declared_clauses = _parse_header(
@@ -253,16 +289,12 @@ def parse_dimacs(text):
         # starts no new line
         raise DimacsError("last clause lacks terminating 0",
                           text.count("\n", 0, min(stop, len(text) - 1)) + 1)
-    # a slice of a tuple is a tuple, which build_formula stores as it is
-    literals = tuple(literals)
-    zeros = list(compress(range(len(literals)), map(not_, literals)))
-    if declared_clauses != len(zeros):
+    formula, clause_count = _split_clauses(variables_count, tuple(literals))
+    if declared_clauses != clause_count:
         warnings.warn(
             "header declares %d clauses, file contains %d"
-            % (declared_clauses, len(zeros)), DimacsWarning, stacklevel=2)
-    return build_formula(variables_count, [
-        literals[previous + 1:zero]
-        for previous, zero in pairwise([-1, *zeros])])
+            % (declared_clauses, clause_count), DimacsWarning, stacklevel=2)
+    return formula
 
 
 def to_dimacs(formula):

@@ -73,7 +73,7 @@ class SolverState:
         self.truth_assignment = self.trail.values
         self.true_literals_count = [0] * len(formula.clauses)
         self.false_literals_count = [0] * len(formula.clauses)
-        self.clause_lengths = [len(c) for c in formula.clauses]
+        self.clause_lengths = list(map(len, formula.clauses))
         self.false_clauses_count = 0  # clauses with every literal false
         self.tracer = None
         self.occurrences = occurrence_lists(formula)

@@ -31,6 +31,14 @@ def reference_build_formula(variables_count, raw_clauses):
     return CnfFormula(variables_count, tuple(clauses), trivially_unsat)
 
 
+def reference_excerpt(text):
+    """The quoted input in a DimacsError message: its repr, cut after 40
+    characters and marked with `...`."""
+    if len(text) <= 40:
+        return repr(text)
+    return repr(text[:40]) + "..."
+
+
 def reference_lines(text):
     """Lines broken at `\\n`, `\\r\\n` and `\\r` only; a line break at the
     end of the text opens no further line."""
@@ -54,19 +62,21 @@ def reference_parse_dimacs(text):
         if stripped.startswith("%"):
             break
         if "_" in line or not line.isascii():
-            raise DimacsError("'_' or non-ASCII character in %r" % stripped,
-                              lineno)
+            raise DimacsError("'_' or non-ASCII character in %s"
+                              % reference_excerpt(stripped), lineno)
         if stripped.startswith("p"):
             if variables_count is not None:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
             parts = stripped.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError("malformed header %r" % stripped, lineno)
+                raise DimacsError("malformed header %s"
+                                  % reference_excerpt(stripped), lineno)
             try:
                 variables_count = int(parts[2])
                 declared_clauses = int(parts[3])
             except ValueError:
-                raise DimacsError("non-integer counts in header %r" % stripped,
+                raise DimacsError("non-integer counts in header %s"
+                                  % reference_excerpt(stripped),
                                   lineno) from None
             if variables_count < 0:
                 raise DimacsError("variable count must be nonnegative",
@@ -80,7 +90,8 @@ def reference_parse_dimacs(text):
             try:
                 lit = int(token)
             except ValueError:
-                raise DimacsError("non-integer token %r" % token,
+                raise DimacsError("non-integer token %s"
+                                  % reference_excerpt(token),
                                   lineno) from None
             if lit == 0:
                 raw_clauses.append(current)

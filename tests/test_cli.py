@@ -1,5 +1,7 @@
+import bz2
 import gzip
 import io
+import lzma
 import os
 import subprocess
 import sys
@@ -18,6 +20,17 @@ from helpers import EXAMPLE1_DIMACS, example1
 def write_cnf(tmp_path, text, name="instance.cnf"):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def feed(tmp_path, monkeypatch, source, data):
+    """The CLI's input argument for `data`, read from a file or from a
+    standard input that holds it."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return "-"
+    path = tmp_path / "input.cnf"
+    path.write_bytes(data)
     return str(path)
 
 
@@ -84,14 +97,7 @@ class TestRun:
     def test_non_ascii_comment_ignored(self, tmp_path, capsys, monkeypatch,
                                        source):
         data = b"c caf\xe9\n" + EXAMPLE1_DIMACS.encode()
-        if source == "stdin":
-            monkeypatch.setattr(sys, "stdin",
-                                io.TextIOWrapper(io.BytesIO(data)))
-            path = "-"
-        else:
-            path = tmp_path / "latin1.cnf"
-            path.write_bytes(data)
-        code = main([str(path)])
+        code = main([feed(tmp_path, monkeypatch, source, data)])
         captured = capsys.readouterr()
         assert code == EXIT_SAT
         assert captured.err == ""
@@ -100,8 +106,8 @@ class TestRun:
     @pytest.mark.parametrize("data, line", [
         (b"p cnf 2 1\n1 2\xe9 0\n", 2),
         (b"p cnf 2\xe9 1\n1 2 0\n", 1),
-        (gzip.compress(EXAMPLE1_DIMACS.encode(), mtime=0), 1),
-    ], ids=["clause", "header", "gzip"])
+        (bytes(range(128, 256)) + b"\n" + EXAMPLE1_DIMACS.encode(), 1),
+    ], ids=["clause", "header", "binary"])
     def test_non_ascii_data_is_an_input_error(self, tmp_path, capsys, data,
                                               line):
         path = tmp_path / "bad.cnf"
@@ -111,6 +117,52 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: line %d: " % line)
         assert "Traceback" not in captured.err
+        # the message quotes at most 40 characters of the line
+        assert len(captured.err) < 100
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("compress", [gzip.compress, bz2.compress,
+                                          lzma.compress],
+                             ids=["gzip", "bzip2", "xz"])
+    def test_compressed_input(self, tmp_path, capsys, monkeypatch, compress,
+                              source):
+        path = feed(tmp_path, monkeypatch, source,
+                    compress(EXAMPLE1_DIMACS.encode()))
+        code = main([path])
+        captured = capsys.readouterr()
+        assert code == EXIT_SAT
+        assert captured.err == ""
+        assert check_model(example1(), parse_model_line(captured.out))
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("compress, name", [
+        (gzip.compress, "gzip"), (bz2.compress, "bzip2"),
+        (lzma.compress, "xz")], ids=["gzip", "bzip2", "xz"])
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_compressed_input_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch, compress, name, damage,
+            source):
+        data = compress(to_dimacs(generate_queens(8)).encode())
+        if damage == "truncated":
+            data = data[:len(data) // 2]
+        else:
+            data = data[:12] + bytes(64) + data[76:]
+        assert main([feed(tmp_path, monkeypatch, source, data)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: corrupt %s input: " % name)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("count", [2 ** 62, 2 ** 63])
+    def test_oversized_variable_count_is_an_input_error(self, tmp_path,
+                                                         capsys, count):
+        # counts this large fail the list size check before any allocation
+        path = write_cnf(tmp_path, "p cnf %d 1\n1 0\n" % count)
+        assert main([path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: variable count %d is too large\n"
+                                % count)
 
     @pytest.mark.parametrize("data, line", [
         (b"p cnf 1_0 1\n1 0\n", 1),

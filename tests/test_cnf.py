@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import pytest
@@ -160,6 +161,19 @@ class TestParseDimacs:
             parse_dimacs(text)
         assert str(caught.value).startswith(message)
 
+    @pytest.mark.parametrize("text, quoted", [
+        ("p cnf 2 1\n1 %s 0\n" % ("x" * 50),
+         "token '%s'..." % ("x" * 40)),
+        ("p cnf 2 1 %s\n" % ("9" * 50),
+         "header 'p cnf 2 1 %s'..." % ("9" * 30)),
+        ("p cnf 2 1\n1 2 \xe9%s\n" % ("0" * 50),
+         "in '1 2 \xe9%s'..." % ("0" * 35)),
+    ])
+    def test_message_quotes_at_most_40_characters(self, text, quoted):
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs(text)
+        assert str(caught.value).endswith(quoted)
+
     def test_faults_across_batches(self):
         # clause data is read in batches of lines; a fault far into the
         # file, and a clause that spans a batch boundary, read as before
@@ -171,9 +185,29 @@ class TestParseDimacs:
             parse_dimacs(text + "10 0\n")
 
 
+class TestUncheckedConstructor:
+    """parse_dimacs and build_formula build their formula without
+    CnfFormula's checks; it must not differ from one built with them."""
+
+    @pytest.mark.parametrize("formula", [
+        parse_dimacs("p cnf 3 3\n1 -2 0\n2 2 3 0\n1 -1 0\n"),
+        parse_dimacs("p cnf 2 2\n0\n1 0\n"),
+        build_formula(3, [[1, -2], [2, 2, 3], [1, -1]]),
+        build_formula(0, []),
+    ])
+    def test_equal_to_a_checked_formula(self, formula):
+        checked = CnfFormula(formula.variables_count, formula.clauses,
+                             formula.trivially_unsat)
+        assert formula == checked
+        assert hash(formula) == hash(checked)
+        assert repr(formula) == repr(checked)
+        with pytest.raises(FrozenInstanceError):
+            formula.clauses = ()
+
+
 class TestFirstErrorReported:
-    """The bulk checks name the same fault as a check of each clause and
-    literal in order would."""
+    """CnfFormula and build_formula name the same fault as a check of each
+    clause and literal in order would."""
 
     @pytest.mark.parametrize("clauses, message", [
         (((1,), (3, 0)), "literal 3 out of range"),
