@@ -6,13 +6,9 @@ Output and exit codes follow the SAT-competition convention:
 """
 
 import argparse
-import bz2
-import gzip
-import lzma
 import os
 import sys
 import warnings
-import zlib
 from itertools import chain, combinations, islice
 
 from . import __version__
@@ -75,22 +71,35 @@ def generate_queens(n):
     return build_formula(n * n, clauses)
 
 
-# the magic bytes that start a compressed stream, its format's name, and the
-# module that decompresses it
-_COMPRESSED = ((b"\x1f\x8b", "gzip", gzip), (b"BZh", "bzip2", bz2),
-               (b"\xfd7zXZ\x00", "xz", lzma))
+# the magic bytes that start a compressed stream, and its format's name
+_COMPRESSED = ((b"\x1f\x8b", "gzip"), (b"BZh", "bzip2"),
+               (b"\xfd7zXZ\x00", "xz"))
+
+
+def _decompressor(name):
+    """The decompress function of a format and what it raises on a damaged
+    stream.  Its module is imported only here, so plain input loads none."""
+    if name == "gzip":
+        import gzip
+        import zlib
+        return gzip.decompress, (OSError, EOFError, zlib.error)
+    if name == "bzip2":
+        import bz2
+        return bz2.decompress, (OSError, EOFError, ValueError)
+    import lzma
+    return lzma.decompress, (EOFError, lzma.LZMAError)
 
 
 def _decompressed(data):
     """The bytes of a gzip, bzip2 or xz stream, told apart by their magic
     bytes, decompressed; other data as it is.  A corrupt or truncated
     stream raises DimacsError."""
-    for magic, name, module in _COMPRESSED:
+    for magic, name in _COMPRESSED:
         if data.startswith(magic):
+            decompress, errors = _decompressor(name)
             try:
-                return module.decompress(data)
-            except (OSError, EOFError, ValueError, zlib.error,
-                    lzma.LZMAError) as exc:
+                return decompress(data)
+            except errors as exc:
                 raise DimacsError("corrupt %s input: %s"
                                   % (name, exc)) from None
     return data

@@ -8,8 +8,9 @@ Every decision assigns at least one variable, so at most n frames are open.
 
 A node's clause cursor `start` has a true literal in every clause below it.
 A node scans for its lowest open clause from its parent's cursor, and its
-frame keeps that index for both children.  True counts never fall while
-the trail grows, so a root-to-leaf path scans each clause at most once.
+frame keeps that index for both children.  A true literal stays true
+while the trail grows, so a root-to-leaf path scans each clause at most
+once.
 
 `set_literal` holds no counter code: it writes the literals that
 `state.forced_literals` yields through `state._assign`, the one write loop,
@@ -19,6 +20,7 @@ as MiniSat's `propagate` hands each forced literal to `uncheckedEnqueue`.
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import eq
 
 from ._contracts import ContractError, require
 from .state import (TRUE, UNSET, _assign, _require_entry, first_open_clause,
@@ -91,9 +93,10 @@ def set_literal(state, literal, value):
 
     The decision and each literal it forces are written through the one
     write loop, `state._assign`, as `state.forced_literals` yields them.
-    Propagation stops at the first fully false clause; the caller detects
-    the conflict via has_empty_clause.  No open layer, a literal out of
-    range or already set raise ContractError before anything changes.
+    Propagation stops at the first fully false clause and records it in
+    `state.conflict`; the caller detects the conflict via has_empty_clause.
+    No open layer, a literal out of range or already set raise
+    ContractError before anything changes.
     """
     _require_entry(state, literal, abs(literal) - 1)
     before = len(state.trail)
@@ -140,6 +143,11 @@ def _search(state, deadline, start):
         # one search node
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeLimitReached()
+        if state.checked:
+            # after set_literal the conflict is recorded iff one exists
+            require(has_empty_clause(state) == any(map(
+                eq, state.false_literals_count, state.clause_lengths)),
+                "the recorded conflict disagrees with a full scan")
         if has_empty_clause(state):
             result = SolveResult(False)
         else:

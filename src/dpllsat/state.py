@@ -1,29 +1,26 @@
-"""Mutable search state: the trail, per-clause counters, occurrence lists.
+"""Mutable search state: the trail, per-clause false counters, literal
+flags, the conflict field, occurrence lists.
 
 The trail owns the assignment: it stores the literals in push order, and
 `truth_assignment` is its value array, which it resets on a pop;
-`unset_count` is derived from its length.  This module owns the counters.
+`unset_count` is derived from its length.  This module owns the rest.
 One loop, `_assign`, makes literals true: it appends each to the trail,
-sets its value and bumps the counters; `set_variable` feeds it one
-literal, the search what `forced_literals` yields.  `undo_last_layer`
-pops a layer and rolls back the counters of its literals in one loop;
+sets its value and flag and bumps the false counters; `set_variable` feeds
+it one literal, the search what `forced_literals` yields.
+`undo_last_layer` pops a layer and rolls back its literals in one loop;
 `unset_variable` runs the same loop for one literal that the caller has
-popped.  `occurrences[literal]` lists the clauses that contain a literal,
-indexed directly by its signed code.
+popped.  `occurrences[literal]` lists the clauses that contain a literal
+and `literal_is_true[literal]` says whether it is true, both indexed
+directly by its signed code.
 
-The counters answer the per-clause questions in O(1): a clause is satisfied
-iff its true-literal count is positive, fully false iff its false-literal
-count equals its length, and unit iff the false count is one short of the
-length with no true literal.  Counter updates touch only the clauses listed
-in the assigned variable's occurrence lists, never the whole clause
-database.
-
-The whole-formula questions are cheap too.  `false_clauses_count` holds the
-number of fully-false clauses, kept up to date by the same counter updates,
-so the conflict test is O(1).  `first_open_clause` scans for a clause with
-no true literal from a caller-supplied start index; true counts only grow
-as the trail grows, so a search can resume each scan where its parent node
-stopped.
+A clause is fully false iff its false count equals its length, and unit
+iff the count is one short with its one literal that is not false unset.
+Counter updates touch only the clauses in the assigned variable's
+occurrence lists.  `conflict`, the O(1) conflict test, is the index of a
+fully-false clause or None: propagation records the clause where it finds
+it and `set_variable` the one it makes, only when none is recorded, so it
+names the oldest conflict; the rollback clears it once that clause is no
+longer fully false.  `first_open_clause` checks clauses against the flags.
 """
 
 from ._contracts import ContractError, require
@@ -71,10 +68,10 @@ class SolverState:
         self.checked = checked
         self.trail = Trail(n)
         self.truth_assignment = self.trail.values
-        self.true_literals_count = [0] * len(formula.clauses)
+        self.literal_is_true = bytearray(2 * n + 1)  # by signed literal
         self.false_literals_count = [0] * len(formula.clauses)
         self.clause_lengths = list(map(len, formula.clauses))
-        self.false_clauses_count = 0  # clauses with every literal false
+        self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
         self.occurrences = occurrence_lists(formula)
         if checked:
@@ -92,8 +89,8 @@ class SolverState:
     def snapshot(self):
         """Cheap copy of the observable state, for restoration checks."""
         return (self.trail.size, tuple(self.truth_assignment),
-                tuple(self.true_literals_count),
-                tuple(self.false_literals_count), self.false_clauses_count)
+                bytes(self.literal_is_true),
+                tuple(self.false_literals_count), self.conflict)
 
 
 def build_state(formula, checked=False):
@@ -112,14 +109,13 @@ def _require_entry(state, literal, variable):
 
 def _assign(state, literals):
     """Make each literal true in turn on the current layer: append it to the
-    trail, set its value, bump the counters of the clauses it occurs in.
-    A literal already set raises ContractError before it is written."""
+    trail, set its value and flag, bump the false counts of the clauses
+    holding its negation.  A literal already set raises ContractError."""
     tau = state.truth_assignment
     assignments = state.trail.assignments
     occurrences = state.occurrences
-    true_counts = state.true_literals_count
+    is_true = state.literal_is_true
     false_counts = state.false_literals_count
-    lengths = state.clause_lengths
     checked = state.checked
     for literal in literals:
         variable = abs(literal) - 1
@@ -127,23 +123,24 @@ def _assign(state, literals):
             raise ContractError("literal %d is already set" % literal)
         assignments.append(literal)
         tau[variable] = TRUE if literal > 0 else FALSE
-        for index in occurrences[literal]:
-            true_counts[index] += 1
+        is_true[literal] = 1
         for index in occurrences[-literal]:
-            count = false_counts[index] + 1
-            false_counts[index] = count
-            if count == lengths[index]:
-                state.false_clauses_count += 1
+            false_counts[index] += 1
         if checked:
             state.assert_valid()
 
 
 def set_variable(state, variable, value):
     """Assign one variable on the current trail layer, with no propagation;
-    the search writes through the same loop."""
+    the search writes through the same loop.  With no conflict recorded, a
+    clause that this makes fully false is recorded as the conflict."""
     literal = variable + 1 if value else -variable - 1
     _require_entry(state, literal, variable)
     _assign(state, (literal,))
+    if state.conflict is None:
+        state.conflict = next((index for index in state.occurrences[-literal]
+                               if state.false_literals_count[index]
+                               == state.clause_lengths[index]), None)
 
 
 def forced_literals(state, literal):
@@ -152,89 +149,99 @@ def forced_literals(state, literal):
 
     The trail from its length on entry is the queue, read from `head`.  For
     each queued literal the clauses holding its negation are visited in
-    index order: a fully false one (a conflict) ends the generator, and an
-    open one with a single unset literal forces it.
+    index order: a fully false one ends the generator and is recorded as the
+    conflict if none is, and a unit one forces its unset literal.
     """
     assignments = state.trail.assignments
     head = len(assignments)
     yield literal
-    tau = state.truth_assignment
     tracer = state.tracer
     occurrences = state.occurrences
+    clauses = state.formula.clauses
     lengths = state.clause_lengths
-    true_counts = state.true_literals_count
+    is_true = state.literal_is_true
     false_counts = state.false_literals_count
     while head < len(assignments):
         for index in occurrences[-assignments[head]]:
-            if true_counts[index] > 0:
+            not_false = lengths[index] - false_counts[index]
+            if not_false > 1:
                 continue
-            unset = lengths[index] - false_counts[index]
-            if unset == 0:
-                return  # conflict: remaining propagation is pointless
-            if unset == 1:
-                for literal in state.formula.clauses[index]:
-                    if tau[abs(literal) - 1] == UNSET:
-                        break
-                if tracer is not None:
-                    tracer.emit(("propagate", abs(literal) - 1, literal > 0,
-                                 index, tracer.assignment(state)))
-                yield literal
+            if not_false == 0:
+                if state.conflict is None:
+                    state.conflict = index
+                return  # remaining propagation is pointless
+            for literal in clauses[index]:
+                if not is_true[-literal]:
+                    break
+            if is_true[literal]:
+                continue  # satisfied
+            if tracer is not None:
+                tracer.emit(("propagate", abs(literal) - 1, literal > 0,
+                             index, tracer.assignment(state)))
+            yield literal
         head += 1
 
 
 def _roll_back(state, literals):
-    """Roll back the counter updates of literals just popped from the
-    trail, which has reset their values, in the order given."""
+    """Roll back the flags and false counts of literals just popped from the
+    trail, in the order given; clear the conflict once its clause is no
+    longer fully false."""
     occurrences = state.occurrences
-    true_counts = state.true_literals_count
+    is_true = state.literal_is_true
     false_counts = state.false_literals_count
-    lengths = state.clause_lengths
     for literal in literals:
-        for index in occurrences[literal]:
-            true_counts[index] -= 1
+        is_true[literal] = 0
         for index in occurrences[-literal]:
-            count = false_counts[index]
-            if count == lengths[index]:
-                state.false_clauses_count -= 1
-            false_counts[index] = count - 1
+            false_counts[index] -= 1
+    conflict = state.conflict
+    if (conflict is not None
+            and false_counts[conflict] != state.clause_lengths[conflict]):
+        state.conflict = None
 
 
 def unset_variable(state, literal):
-    """Roll back set_variable's counter updates for a literal just popped
-    from the trail, whose value the trail has reset.  The search does not
-    call it: it undoes whole layers with undo_last_layer."""
+    """Roll back set_variable for a literal just popped from the trail.  The
+    search does not call it: it undoes whole layers with undo_last_layer."""
     _roll_back(state, (literal,))
 
 
 def undo_last_layer(state):
     """Pop the last trail layer, which resets its values, and roll back the
-    counters of its literals, newest first, in one loop."""
+    flags and counters of its literals, newest first, in one loop."""
     _roll_back(state, reversed(state.trail.pop_layer()))
     if state.checked:
         state.assert_valid()
 
 
 def has_empty_clause(state):
-    """True iff some clause has every literal false (a conflict).  O(1)."""
-    return state.false_clauses_count > 0
+    """True iff a conflict, a fully false clause, is recorded.  O(1)."""
+    return state.conflict is not None
+
+
+def _first_open(is_true, clauses, start, stop):
+    """Lowest index in [start, stop) of a clause with no true literal."""
+    for index in range(start, stop):
+        for literal in clauses[index]:
+            if is_true[literal]:
+                break
+        else:
+            return index
+    return None
 
 
 def first_open_clause(state, start=0):
     """Lowest index >= start of a clause with no true literal, or None.
 
-    A clause whose true count is positive stays satisfied while the trail
-    only grows, so the index this returns at a search node is a valid start
-    for every node below it.  Checked mode asserts that no clause below
-    start is open.
+    A true literal stays true while the trail grows, so the index this
+    returns at a search node is a valid start for every node below it.
+    Checked mode asserts that no clause below start is open.
     """
-    true_counts = state.true_literals_count
+    is_true = state.literal_is_true
+    clauses = state.formula.clauses
     if state.checked:
-        require(0 not in true_counts[:start],
+        require(_first_open(is_true, clauses, 0, start) is None,
                 "an open clause lies below start %d" % start)
-    try:
-        return true_counts.index(0, start)
-    except ValueError:
-        return None
+    return _first_open(is_true, clauses, start, len(clauses))
 
 
 def is_formula_satisfied(state):
@@ -246,34 +253,27 @@ def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
     Covers the trail invariants, the truth assignment being the trail's
-    value array, both counter arrays, the fully-false clause count, and the
-    occurrence lists.  Pure; returns a boolean.
+    value array, the literal flags, the false counters, the conflict naming
+    a fully-false clause, and the occurrence lists.  Pure; returns a bool.
     """
     formula = state.formula
+    clauses = formula.clauses
     if not check_trail_invariants(state.trail):
         return False
     tau = state.truth_assignment
     if tau is not state.trail.values or len(tau) != formula.variables_count:
         return False
-    if (len(state.true_literals_count) != len(formula.clauses)
-            or len(state.false_literals_count) != len(formula.clauses)):
+    is_true = bytearray(2 * formula.variables_count + 1)
+    for literal in state.trail.assignments:
+        is_true[literal] = 1
+    false_counts = [sum(get_literal_value(tau, literal) == FALSE
+                        for literal in clause) for clause in clauses]
+    if (state.literal_is_true != is_true
+            or state.false_literals_count != false_counts):
         return False
-    false_clauses = 0
-    for index, clause in enumerate(formula.clauses):
-        true_count = 0
-        false_count = 0
-        for literal in clause:
-            value = get_literal_value(tau, literal)
-            if value == TRUE:
-                true_count += 1
-            elif value == FALSE:
-                false_count += 1
-        if state.true_literals_count[index] != true_count:
-            return False
-        if state.false_literals_count[index] != false_count:
-            return False
-        if false_count == len(clause):
-            false_clauses += 1
-    if state.false_clauses_count != false_clauses:
+    conflict = state.conflict
+    if conflict is not None and (
+            conflict not in range(len(clauses))
+            or false_counts[conflict] != len(clauses[conflict])):
         return False
     return state.occurrences == occurrence_lists(formula)

@@ -337,3 +337,15 @@ def test_model_lines_are_written_one_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 16384
+
+
+def test_import_loads_no_decompressor():
+    # -S keeps site's own imports, which may load zlib, out of the check;
+    # the modules are imported only when input starts with their magic
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, %r); import dpllsat.cli; "
+            "print(' '.join(sorted({'gzip', 'bz2', 'lzma', 'zlib', '_bz2', "
+            "'_lzma'} & set(sys.modules))))" % str(src))
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded == "\n"

@@ -9,7 +9,8 @@ import dpllsat.search
 from dpllsat import (TRUE, UNSET, ContractError, TimeLimitReached, Tracer,
                      brute_force, build_formula, build_state, check_model,
                      check_state_invariants, choose_literal, complete_model,
-                     is_satisfiable_extend, set_literal, solve, step)
+                     is_formula_satisfied, is_satisfiable_extend,
+                     set_literal, solve, step)
 from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import example1, make_rng, random_formula, solve_formula
 
@@ -141,8 +142,7 @@ class TestSetLiteral:
             if f.trivially_unsat:
                 continue
             s = build_state(f)
-            literal = choose_literal(s) if s.true_literals_count.count(0) \
-                else None
+            literal = None if is_formula_satisfied(s) else choose_literal(s)
             if literal is None:
                 continue
             tau_before = list(s.truth_assignment)

@@ -18,8 +18,9 @@ def assert_refines_spec(formula):
 
 
 @pytest.mark.parametrize("formula", [generate_pigeonhole(6),
+                                     generate_pigeonhole(7),
                                      generate_queens(8)],
-                         ids=["php6", "queens8"])
+                         ids=["php6", "php7", "queens8"])
 def test_bench_family_events_equal_spec(formula):
     assert_refines_spec(formula)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      build_state, check_state_invariants, first_open_clause,
                      get_literal_value, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
-                     parse_dimacs, set_literal, set_variable,
+                     parse_dimacs, set_literal, set_variable, solve,
                      undo_last_layer)
 from dpllsat.state import unset_variable
 from helpers import example1, make_rng, random_formula
@@ -16,6 +17,17 @@ from helpers import example1, make_rng, random_formula
 
 def fresh_example1_state(checked=False):
     return build_state(example1(), checked=checked)
+
+
+def true_counts(s):
+    """True literals per clause, counted from the literal flags."""
+    return [sum(s.literal_is_true[literal] for literal in clause)
+            for clause in s.formula.clauses]
+
+
+def fully_false_count(s):
+    """Clauses whose false count equals their length."""
+    return sum(map(eq, s.false_literals_count, s.clause_lengths))
 
 
 class TestBuildState:
@@ -26,8 +38,9 @@ class TestBuildState:
 
     def test_all_counters_zero(self):
         s = fresh_example1_state()
-        assert s.true_literals_count == [0] * 5
+        assert s.literal_is_true == bytearray(2 * 7 + 1)
         assert s.false_literals_count == [0] * 5
+        assert s.conflict is None
         assert s.truth_assignment == [UNSET] * 7
         assert s.trail.size == 0
 
@@ -78,7 +91,8 @@ class TestSetVariable:
         s = fresh_example1_state(checked=True)
         s.trail.new_layer()
         set_variable(s, 0, True)  # x1 := true
-        assert s.true_literals_count[0] == 1
+        assert s.literal_is_true[1] and not s.literal_is_true[-1]
+        assert true_counts(s) == [1, 0, 0, 0, 0]
         assert s.false_literals_count[1] == 1  # clause 2 holds -x1
 
     def test_fig2_second_assignment(self):
@@ -87,7 +101,8 @@ class TestSetVariable:
         set_variable(s, 0, True)
         set_variable(s, 1, False)  # x2 := false
         assert s.false_literals_count[0] == 1
-        assert s.true_literals_count[1] == 1   # -x2 true in clause 2
+        assert s.literal_is_true[-2] and not s.literal_is_true[2]
+        assert true_counts(s)[1] == 1          # -x2 true in clause 2
         assert s.false_literals_count[2] == 1  # clause 3 holds x2
         assert s.false_literals_count[3] == 1  # clause 4 holds x2
 
@@ -142,20 +157,19 @@ class TestUnsetVariable:
         s = fresh_example1_state()
         s.trail.new_layer()
         set_variable(s, 4, True)  # x5 in clauses 4 and 5
-        assert s.true_literals_count[3] == 1
-        assert s.true_literals_count[4] == 1
+        assert true_counts(s) == [0, 0, 0, 1, 1]
         undo_last_layer(s)
-        assert s.true_literals_count[3] == 0
-        assert s.true_literals_count[4] == 0
+        assert true_counts(s) == [0, 0, 0, 0, 0]
+        assert not s.literal_is_true[5]
 
     def test_set_then_unset_restores_counters(self):
         s = fresh_example1_state()
         s.trail.new_layer()
-        true_before = list(s.true_literals_count)
+        flags_before = bytes(s.literal_is_true)
         false_before = list(s.false_literals_count)
         set_variable(s, 1, False)
         undo_last_layer(s)
-        assert s.true_literals_count == true_before
+        assert s.literal_is_true == flags_before
         assert s.false_literals_count == false_before
         assert s.truth_assignment[1] == UNSET
 
@@ -165,13 +179,13 @@ class TestUnsetVariable:
             undo_last_layer(s)
 
     def test_unset_variable_after_pop_restores_snapshot(self):
-        # x1 := false empties the unit clause (1), so the fully-false
-        # clause count is rolled back too
+        # x1 := false empties the unit clause (1), so the recorded
+        # conflict is rolled back too
         s = build_state(build_formula(2, [[1], [-1, 2], [1, -2]]))
         before = s.snapshot()
         s.trail.new_layer()
         set_variable(s, 0, False)
-        assert s.false_clauses_count == 1
+        assert s.conflict == 0
         (literal,) = s.trail.pop_layer()
         unset_variable(s, literal)
         assert s.snapshot() == before
@@ -227,15 +241,41 @@ class TestClauseStatus:
         s = build_state(build_formula(2, [[1, 2], [-1], [2]]))
         s.trail.new_layer()
         set_variable(s, 0, True)   # clause 2 fully false
-        assert s.false_clauses_count == 1
+        assert (fully_false_count(s), s.conflict) == (1, 1)
         s.trail.new_layer()
         set_variable(s, 1, False)  # clause 3 fully false too
-        assert s.false_clauses_count == 2
+        assert (fully_false_count(s), s.conflict) == (2, 1)
         undo_last_layer(s)
-        assert s.false_clauses_count == 1
+        assert (fully_false_count(s), s.conflict) == (1, 1)
         undo_last_layer(s)
-        assert s.false_clauses_count == 0
+        assert (fully_false_count(s), s.conflict) == (0, None)
         assert not has_empty_clause(s)
+
+    def test_conflict_of_layer_1_outlives_layer_2(self):
+        # layer 1 empties clause 0; propagation on layer 2 empties clause
+        # 3, but the field keeps the older conflict until layer 1 goes
+        s = build_state(build_formula(3, [[1], [-1, 2], [-2, 3], [-2, -3]]),
+                        checked=True)
+        s.trail.new_layer()
+        set_variable(s, 0, False)
+        assert s.conflict == 0
+        s.trail.new_layer()
+        set_literal(s, 2, True)    # forces x3, which empties clause 3
+        assert fully_false_count(s) == 2
+        assert s.conflict == 0
+        undo_last_layer(s)
+        assert s.conflict == 0 and has_empty_clause(s)
+        undo_last_layer(s)
+        assert s.conflict is None and not has_empty_clause(s)
+
+    def test_propagation_records_the_clause_it_stops_at(self):
+        s = build_state(build_formula(3, [[-1, 2], [-1, 3], [-2, -3]]),
+                        checked=True)
+        s.trail.new_layer()
+        set_literal(s, 1, True)    # forces x2 and x3; clause 3 is empty
+        assert s.conflict == 2
+        undo_last_layer(s)
+        assert s.conflict is None
 
 
 class TestFirstOpenClause:
@@ -276,7 +316,17 @@ class TestStateInvariantChecker:
 
     def test_corrupted_counter_detected(self):
         s = fresh_example1_state()
-        s.true_literals_count[0] += 1
+        s.false_literals_count[0] += 1
+        assert not check_state_invariants(s)
+
+    def test_corrupted_literal_flag_detected(self):
+        s = fresh_example1_state()
+        s.literal_is_true[1] = 1   # x1 flagged true, but not on the trail
+        assert not check_state_invariants(s)
+        s = fresh_example1_state()
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        s.literal_is_true[-1] = 1  # both polarities of x1 flagged true
         assert not check_state_invariants(s)
 
     def test_assignment_without_trail_entry_detected(self):
@@ -284,16 +334,28 @@ class TestStateInvariantChecker:
         s.truth_assignment[0] = TRUE
         assert not check_state_invariants(s)
 
-    def test_corrupted_false_clause_count_detected(self):
+    def test_corrupted_conflict_detected(self):
         s = fresh_example1_state()
-        s.false_clauses_count += 1
+        s.conflict = 0             # no clause is fully false
         assert not check_state_invariants(s)
-        s = build_state(build_formula(1, [[1], [1, 1]]))
+        s = build_state(build_formula(2, [[1], [1, 2], [2]]))
         s.trail.new_layer()
-        set_variable(s, 0, False)  # both clauses fully false
+        set_variable(s, 0, False)  # clause 1 fully false
+        assert s.conflict == 0 and check_state_invariants(s)
+        for corrupt in (1, 3, -1):  # not fully false, or out of range
+            s.conflict = corrupt
+            assert not check_state_invariants(s)
+
+    def test_checked_search_rejects_a_conflict_left_unrecorded(self):
+        # the per-write check cannot tell an unrecorded conflict from one
+        # propagation has yet to reach; the search's full scan can
+        s = build_state(build_formula(2, [[1], [1, 2]]), checked=True)
+        s.trail.new_layer()
+        set_variable(s, 0, False)
+        s.conflict = None
         assert check_state_invariants(s)
-        s.false_clauses_count -= 1
-        assert not check_state_invariants(s)
+        with pytest.raises(ContractError, match="disagrees with a full scan"):
+            solve(s)
 
 
 def test_status_queries_match_scans_on_random_walk():
@@ -368,15 +430,19 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
         return
     variable = unset[0]
     s.trail.new_layer()  # a layer of its own, so that undo reverts just it
-    true_before = list(s.true_literals_count)
+    flags_before = bytes(s.literal_is_true)
     false_before = list(s.false_literals_count)
+    conflict_before = s.conflict
     set_variable(s, variable, value)
-    touched = set(s.occurrences[variable + 1])
-    touched |= set(s.occurrences[-variable - 1])
+    literal = variable + 1 if value else -variable - 1
+    assert [i for i, (a, b) in enumerate(zip(s.literal_is_true,
+                                              flags_before)) if a != b] \
+        == [literal % len(flags_before)]
+    touched = set(s.occurrences[-literal])
     for index in range(len(s.formula.clauses)):
         if index not in touched:
-            assert s.true_literals_count[index] == true_before[index]
             assert s.false_literals_count[index] == false_before[index]
     undo_last_layer(s)
-    assert s.true_literals_count == true_before
+    assert s.literal_is_true == flags_before
     assert s.false_literals_count == false_before
+    assert s.conflict == conflict_before
