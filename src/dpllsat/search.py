@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from operator import eq
 
 from ._contracts import ContractError, require
-from .state import (TRUE, UNSET, _assign, _require_entry, first_open_clause,
-                    forced_literals, get_literal_value, has_empty_clause,
-                    undo_last_layer)
+from .state import (TRUE, _assign, _require_entry, first_open_clause,
+                    forced_literals, has_empty_clause, undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -80,10 +79,10 @@ def choose_literal(state, start=0):
     require(not has_empty_clause(state), "conflict present, nothing to decide")
     index = first_open_clause(state, start)
     if index is not None:
-        tau = state.truth_assignment
-        # not fully false, so the open clause has an unset literal
+        is_true = state.literal_is_true
+        # open and not fully false, so a literal that is not false is unset
         for literal in state.formula.clauses[index]:
-            if get_literal_value(tau, literal) == UNSET:
+            if not is_true[-literal]:
                 return literal
     raise ContractError("no unsatisfied clause, nothing to decide")
 
@@ -200,7 +199,8 @@ def step(state, literal, value, deadline=None):
     """
     require(0 < abs(literal) <= state.formula.variables_count,
             "literal %r out of range" % (literal,))
-    require(get_literal_value(state.truth_assignment, literal) == UNSET,
+    is_true = state.literal_is_true
+    require(not (is_true[literal] or is_true[-literal]),
             "literal %d is already set" % literal)
     before = state.snapshot() if state.checked else None
     with _unwinding(state):

@@ -1,17 +1,17 @@
-"""Mutable search state: the trail, per-clause false counters, literal
-flags, the conflict field, occurrence lists.
+"""Mutable search state: the trail, per-clause false counters, the
+conflict field, occurrence lists.
 
-The trail owns the assignment: it stores the literals in push order, and
-`truth_assignment` is its value array, which it resets on a pop;
-`unset_count` is derived from its length.  This module owns the rest.
-One loop, `_assign`, makes literals true: it appends each to the trail,
-sets its value and flag and bumps the false counters; `set_variable` feeds
-it one literal, the search what `forced_literals` yields.
-`undo_last_layer` pops a layer and rolls back its literals in one loop;
-`unset_variable` runs the same loop for one literal that the caller has
-popped.  `occurrences[literal]` lists the clauses that contain a literal
-and `literal_is_true[literal]` says whether it is true, both indexed
-directly by its signed code.
+The trail owns the assignment: it stores the literals in push order and
+one flag per signed literal, `literal_is_true`, which it clears on a pop;
+`unset_count` is derived from its length and `truth_assignment` from the
+flags.  This module owns the rest.  One loop, `_assign`, makes literals
+true: it appends each to the trail, sets its flag and bumps the false
+counters; `set_variable` feeds it one literal, the search what
+`forced_literals` yields.  `undo_last_layer` pops a layer and rolls back
+the counters of its literals in one loop; `unset_variable` runs the same
+loop for one literal that the caller has popped.  `occurrences[literal]`
+lists the clauses that contain a literal, and like the flags it is
+indexed directly by the signed code.
 
 A clause is fully false iff its false count equals its length, and unit
 iff the count is one short with its one literal that is not false unset.
@@ -24,7 +24,9 @@ longer fully false.  `first_open_clause` checks clauses against the flags.
 """
 
 from ._contracts import ContractError, require
-from .trail import FALSE, TRUE, UNSET, Trail, check_trail_invariants
+from .trail import Trail, check_trail_invariants
+
+UNSET, FALSE, TRUE = -1, 0, 1  # the values of a truth assignment
 
 
 def get_literal_value(truth_assignment, literal):
@@ -63,12 +65,10 @@ class SolverState:
     def __init__(self, formula, checked=False):
         require(not formula.trivially_unsat,
                 "trivially unsatisfiable formula; answer UNSAT directly")
-        n = formula.variables_count
         self.formula = formula
         self.checked = checked
-        self.trail = Trail(n)
-        self.truth_assignment = self.trail.values
-        self.literal_is_true = bytearray(2 * n + 1)  # by signed literal
+        self.trail = Trail(formula.variables_count)
+        self.literal_is_true = self.trail.is_true  # by signed literal
         self.false_literals_count = [0] * len(formula.clauses)
         self.clause_lengths = list(map(len, formula.clauses))
         self.conflict = None  # index of the oldest fully-false clause
@@ -82,14 +82,22 @@ class SolverState:
         """Number of variables not on the trail."""
         return self.formula.variables_count - len(self.trail)
 
+    @property
+    def truth_assignment(self):
+        """UNSET, FALSE or TRUE per variable, as a new list built from the
+        literal flags.  O(n), so the search reads it only at a SAT leaf and
+        for trace snapshots; hot paths read the flags."""
+        is_true = self.literal_is_true
+        return [TRUE if is_true[v] else FALSE if is_true[-v] else UNSET
+                for v in range(1, self.formula.variables_count + 1)]
+
     def assert_valid(self):
         if not check_state_invariants(self):
             raise ContractError("solver state invariants violated")
 
     def snapshot(self):
         """Cheap copy of the observable state, for restoration checks."""
-        return (self.trail.size, tuple(self.truth_assignment),
-                bytes(self.literal_is_true),
+        return (self.trail.size, bytes(self.literal_is_true),
                 tuple(self.false_literals_count), self.conflict)
 
 
@@ -103,26 +111,23 @@ def _require_entry(state, literal, variable):
     variable of `literal`, is in range."""
     if not state.trail.starts:
         raise ContractError("no open layer")
-    if not 0 <= variable < len(state.truth_assignment):
+    if not 0 <= variable < state.formula.variables_count:
         raise ContractError("literal %r out of range" % (literal,))
 
 
 def _assign(state, literals):
     """Make each literal true in turn on the current layer: append it to the
-    trail, set its value and flag, bump the false counts of the clauses
-    holding its negation.  A literal already set raises ContractError."""
-    tau = state.truth_assignment
+    trail, set its flag, bump the false counts of the clauses holding its
+    negation.  A literal already set raises ContractError."""
     assignments = state.trail.assignments
     occurrences = state.occurrences
     is_true = state.literal_is_true
     false_counts = state.false_literals_count
     checked = state.checked
     for literal in literals:
-        variable = abs(literal) - 1
-        if tau[variable] != UNSET:
+        if is_true[literal] or is_true[-literal]:
             raise ContractError("literal %d is already set" % literal)
         assignments.append(literal)
-        tau[variable] = TRUE if literal > 0 else FALSE
         is_true[literal] = 1
         for index in occurrences[-literal]:
             false_counts[index] += 1
@@ -183,14 +188,12 @@ def forced_literals(state, literal):
 
 
 def _roll_back(state, literals):
-    """Roll back the flags and false counts of literals just popped from the
-    trail, in the order given; clear the conflict once its clause is no
+    """Roll back the false counts of literals just popped from the trail,
+    whose pop cleared their flags; clear the conflict once its clause is no
     longer fully false."""
     occurrences = state.occurrences
-    is_true = state.literal_is_true
     false_counts = state.false_literals_count
     for literal in literals:
-        is_true[literal] = 0
         for index in occurrences[-literal]:
             false_counts[index] -= 1
     conflict = state.conflict
@@ -206,9 +209,9 @@ def unset_variable(state, literal):
 
 
 def undo_last_layer(state):
-    """Pop the last trail layer, which resets its values, and roll back the
-    flags and counters of its literals, newest first, in one loop."""
-    _roll_back(state, reversed(state.trail.pop_layer()))
+    """Pop the last trail layer, which clears its flags, and roll back the
+    counters of its literals in one loop."""
+    _roll_back(state, state.trail.pop_layer())
     if state.checked:
         state.assert_valid()
 
@@ -252,24 +255,21 @@ def is_formula_satisfied(state):
 def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
-    Covers the trail invariants, the truth assignment being the trail's
-    value array, the literal flags, the false counters, the conflict naming
+    Covers the trail invariants, which include its literal flags, the
+    state's flags being the trail's, the false counters, the conflict naming
     a fully-false clause, and the occurrence lists.  Pure; returns a bool.
     """
     formula = state.formula
     clauses = formula.clauses
     if not check_trail_invariants(state.trail):
         return False
-    tau = state.truth_assignment
-    if tau is not state.trail.values or len(tau) != formula.variables_count:
+    is_true = state.literal_is_true
+    if (is_true is not state.trail.is_true
+            or len(is_true) != 2 * formula.variables_count + 1):
         return False
-    is_true = bytearray(2 * formula.variables_count + 1)
-    for literal in state.trail.assignments:
-        is_true[literal] = 1
-    false_counts = [sum(get_literal_value(tau, literal) == FALSE
-                        for literal in clause) for clause in clauses]
-    if (state.literal_is_true != is_true
-            or state.false_literals_count != false_counts):
+    false_counts = [sum(is_true[-literal] for literal in clause)
+                    for clause in clauses]
+    if state.false_literals_count != false_counts:
         return False
     conflict = state.conflict
     if conflict is not None and (

@@ -4,25 +4,25 @@ Each decision opens a new layer holding the decision followed by the
 literals forced by unit propagation, so backtracking knows exactly which
 assignments to revert.  The layout is MiniSat's (Eén and Sörensson, "An
 Extensible SAT-solver", SAT 2003): one flat list of signed literal codes
-plus the index where each layer starts, and the value array they imply.
+plus the index where each layer starts.  The trail is also the one store
+of the assignment: one flag per signed literal that says whether it is
+true, indexed by the code as in Kissat, which a push sets and a pop clears.
 """
 
 from ._contracts import ContractError, require
 
-UNSET = -1
-FALSE = 0
-TRUE = 1
-
 
 class Trail:
-    """Literals in push order, split into layers, and the value array.
+    """Literals in push order, split into layers, and their true flags.
 
     `assignments` holds the literals made true, oldest first, as signed
     codes: v+1 sets variable v true, -v-1 sets it false.  Layer i is
     `assignments[starts[i]:starts[i + 1]]`, the last one running to the
-    end.  `values[v]` is UNSET, FALSE or TRUE, and is set exactly for the
-    variables on the trail.  At most variables_count layers can be open,
-    since every layer holds at least one assignment of a distinct variable.
+    end.  `is_true[literal]`, 2n+1 bytes indexed by the signed code with
+    slot 0 unused, is 1 exactly for the literals on the trail; a variable
+    is unset iff neither of its literals is flagged.  At most
+    variables_count layers can be open, since every layer holds at least
+    one assignment of a distinct variable.
     """
 
     def __init__(self, variables_count):
@@ -30,7 +30,7 @@ class Trail:
         self.variables_count = variables_count
         self.assignments = []
         self.starts = []
-        self.values = [UNSET] * variables_count
+        self.is_true = bytearray(2 * variables_count + 1)
 
     @property
     def size(self):
@@ -48,19 +48,19 @@ class Trail:
     def push_entry(self, literal):
         """Append a literal to the current layer and make it true.  Checks
         that a layer is open and the literal is in range and unset first."""
-        variable = abs(literal) - 1
         if not self.starts:
             raise ContractError("no open layer")
-        if not 0 <= variable < self.variables_count:
+        if not 0 < abs(literal) <= self.variables_count:
             raise ContractError("literal %r out of range" % (literal,))
-        if self.values[variable] != UNSET:
+        is_true = self.is_true
+        if is_true[literal] or is_true[-literal]:
             raise ContractError("literal %d is already set" % literal)
         self.assignments.append(literal)
-        self.values[variable] = TRUE if literal > 0 else FALSE
+        is_true[literal] = 1
 
     def pop_layer(self):
-        """Remove the last layer, unset its variables, and return its
-        literals in push order."""
+        """Remove the last layer, clear its flags, and return its literals
+        in push order."""
         starts = self.starts
         require(starts, "trail is empty")
         start = starts[-1]
@@ -68,9 +68,9 @@ class Trail:
         starts.pop()
         literals = self.assignments[start:]
         del self.assignments[start:]
-        values = self.values
+        is_true = self.is_true
         for literal in literals:
-            values[abs(literal) - 1] = UNSET
+            is_true[literal] = 0
         return literals
 
     def layer(self, i):
@@ -88,7 +88,7 @@ def check_trail_invariants(trail):
     """True iff the trail satisfies all of its structural invariants."""
     n = trail.variables_count
     starts = trail.starts
-    if len(starts) > n or len(trail.values) != n:
+    if len(starts) > n or len(trail.is_true) != 2 * n + 1:
         return False
     # layers tile the assignments from index 0, and only the top layer may
     # be empty; with no layer open there are no assignments
@@ -97,13 +97,12 @@ def check_trail_invariants(trail):
             or len(set(starts)) != len(starts)):
         return False
     # each entry a nonzero int literal in range, each variable at most
-    # once, and the value array is exactly the literals' view
-    derived = [UNSET] * n
+    # once, and the flags are exactly the literals on the trail
+    derived = bytearray(2 * n + 1)
     for literal in trail.assignments:
         if type(literal) is not int or not 0 < abs(literal) <= n:
             return False
-        variable = abs(literal) - 1
-        if derived[variable] != UNSET:
+        if derived[literal] or derived[-literal]:
             return False
-        derived[variable] = TRUE if literal > 0 else FALSE
-    return derived == trail.values
+        derived[literal] = 1
+    return derived == trail.is_true

@@ -55,8 +55,8 @@ class TestBuildState:
         assert s.occurrences[-7] is s.occurrences[-6] is s.occurrences[0]
 
     def test_memory_follows_the_literals_that_occur(self):
-        # a million declared variables, one of them used: the state costs a
-        # value slot and two occurrence slots per variable, not two lists
+        # a million declared variables, one of them used: the state costs
+        # two flag bytes and two occurrence slots per variable, no list
         formula = parse_dimacs("p cnf 1000000 1\n1 0\n")
         tracemalloc.start()
         try:
@@ -65,7 +65,7 @@ class TestBuildState:
         finally:
             tracemalloc.stop()
         assert state.occurrences[1] == [0]
-        assert peak <= 32 * formula.variables_count
+        assert peak <= 20 * formula.variables_count
 
     def test_rejects_trivially_unsat(self):
         f = parse_dimacs("p cnf 1 1\n0\n")
@@ -204,6 +204,25 @@ class TestUnsetVariable:
         assert check_state_invariants(s)
 
 
+class TestTruthAssignment:
+    def test_mutating_the_list_changes_nothing(self):
+        s = fresh_example1_state()
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        before = s.snapshot()
+        flags = bytes(s.literal_is_true)
+        tau = s.truth_assignment
+        tau[0], tau[1] = FALSE, TRUE
+        assert s.snapshot() == before
+        assert s.literal_is_true == flags
+        assert s.truth_assignment == [TRUE] + [UNSET] * 6
+
+    def test_read_only(self):
+        s = fresh_example1_state()
+        with pytest.raises(AttributeError):
+            s.truth_assignment = [TRUE] * 7
+
+
 class TestClauseStatus:
     def test_conflict_detected(self):
         f = build_formula(1, [[1], [-1]])
@@ -329,9 +348,12 @@ class TestStateInvariantChecker:
         s.literal_is_true[-1] = 1  # both polarities of x1 flagged true
         assert not check_state_invariants(s)
 
-    def test_assignment_without_trail_entry_detected(self):
+    def test_flags_not_shared_with_the_trail_detected(self):
         s = fresh_example1_state()
-        s.truth_assignment[0] = TRUE
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        assert s.literal_is_true is s.trail.is_true
+        s.literal_is_true = bytearray(s.trail.is_true)  # equal, not the same
         assert not check_state_invariants(s)
 
     def test_corrupted_conflict_detected(self):
@@ -360,7 +382,8 @@ class TestStateInvariantChecker:
 
 def test_status_queries_match_scans_on_random_walk():
     # seeded walk of set_variable / undo_last_layer; after every step the
-    # O(1) conflict test and the cursor agree with from-scratch scans
+    # derived assignment, the O(1) conflict test and the cursor agree with
+    # from-scratch scans
     rng = make_rng(4242)
     steps = 0
     for _ in range(60):
@@ -378,7 +401,11 @@ def test_status_queries_match_scans_on_random_walk():
                 if s.trail.size == 0 or rng.random() < 0.5:
                     s.trail.new_layer()
                 set_variable(s, rng.choice(unset), rng.random() < 0.5)
+            implied = [UNSET] * f.variables_count
+            for literal in s.trail.assignments:
+                implied[abs(literal) - 1] = TRUE if literal > 0 else FALSE
             tau = s.truth_assignment
+            assert tau == implied
             values = [[get_literal_value(tau, lit) for lit in clause]
                       for clause in f.clauses]
             assert has_empty_clause(s) == any(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllsat import TRUE, ContractError, Trail, check_trail_invariants
+from dpllsat import ContractError, Trail, check_trail_invariants
 
 
 def fig2_trail():
@@ -148,7 +148,7 @@ class TestInvariants:
 
     def test_stale_unused_layer_detected(self):
         t = fig2_trail()
-        t.values[6] = TRUE  # x7 has no trail entry
+        t.is_true[7] = 1  # x7 flagged, with no trail entry
         assert not check_trail_invariants(t)
 
 
