@@ -143,8 +143,8 @@ def run(input_path, checked=False, time_limit=None, trace=False,
     try:
         state = build_state(formula, checked=checked)
     except (MemoryError, OverflowError):
-        # the header's variable count, which sets the size of the value
-        # array, is beyond what a list can hold
+        # the header's variable count, which sets the size of the literal
+        # flag bytearray and the occurrence list, is beyond what they can hold
         print("error: variable count %d is too large"
               % formula.variables_count, file=err)
         return EXIT_ERROR

@@ -7,7 +7,7 @@ reused, so agreement between the two is meaningful evidence.
 
 from itertools import product
 
-from .state import UNSET
+UNSET = -1  # an unset variable in a partial assignment, as in the solver
 
 DEFAULT_VARIABLE_CAP = 20
 

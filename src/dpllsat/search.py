@@ -20,7 +20,6 @@ as MiniSat's `propagate` hands each forced literal to `uncheckedEnqueue`.
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import eq
 
 from ._contracts import ContractError, require
 from .state import (TRUE, _assign, _require_entry, first_open_clause,
@@ -50,9 +49,10 @@ class Tracer:
       ("backtrack", trail_size)
       ("sat", tau)
       ("branch_unsat", tau)
-    Assignment snapshots are recorded only with snapshot_assignments=True;
-    otherwise those slots hold None.  The solver fills them with
-    `assignment(state)`, which a subclass may override.
+    The "sat" event always carries the assignment.  The other snapshots
+    are recorded only with snapshot_assignments=True; otherwise those slots
+    hold None.  The solver fills them with `assignment(state)`, which a
+    subclass may override.
     """
 
     def __init__(self, snapshot_assignments=False):
@@ -144,9 +144,8 @@ def _search(state, deadline, start):
             raise TimeLimitReached()
         if state.checked:
             # after set_literal the conflict is recorded iff one exists
-            require(has_empty_clause(state) == any(map(
-                eq, state.false_literals_count, state.clause_lengths)),
-                "the recorded conflict disagrees with a full scan")
+            require(has_empty_clause(state) == (0 in state.not_false_count),
+                    "the recorded conflict disagrees with a full scan")
         if has_empty_clause(state):
             result = SolveResult(False)
         else:

@@ -1,22 +1,23 @@
-"""Mutable search state: the trail, per-clause false counters, the
+"""Mutable search state: the trail, per-clause not-false counts, the
 conflict field, occurrence lists.
 
 The trail owns the assignment: it stores the literals in push order and
 one flag per signed literal, `literal_is_true`, which it clears on a pop;
 `unset_count` is derived from its length and `truth_assignment` from the
 flags.  This module owns the rest.  One loop, `_assign`, makes literals
-true: it appends each to the trail, sets its flag and bumps the false
-counters; `set_variable` feeds it one literal, the search what
+true: it appends each to the trail, sets its flag and decrements the
+not-false counts; `set_variable` feeds it one literal, the search what
 `forced_literals` yields.  `undo_last_layer` pops a layer and rolls back
-the counters of its literals in one loop; `unset_variable` runs the same
+the counts of its literals in one loop; `unset_variable` runs the same
 loop for one literal that the caller has popped.  `occurrences[literal]`
 lists the clauses that contain a literal, and like the flags it is
 indexed directly by the signed code.
 
-A clause is fully false iff its false count equals its length, and unit
-iff the count is one short with its one literal that is not false unset.
-Counter updates touch only the clauses in the assigned variable's
-occurrence lists.  `conflict`, the O(1) conflict test, is the index of a
+Each clause keeps one count, of its literals that are not false, in place
+of the paper's true and false counters: as Chaff observes (Moskewicz et
+al., DAC 2001), propagation needs only to see it reach one or zero.  A
+clause is fully false iff its count is 0, and unit iff it is 1 with that
+literal unset.  `conflict`, the O(1) conflict test, is the index of a
 fully-false clause or None: propagation records the clause where it finds
 it and `set_variable` the one it makes, only when none is recorded, so it
 names the oldest conflict; the rollback clears it once that clause is no
@@ -69,8 +70,7 @@ class SolverState:
         self.checked = checked
         self.trail = Trail(formula.variables_count)
         self.literal_is_true = self.trail.is_true  # by signed literal
-        self.false_literals_count = [0] * len(formula.clauses)
-        self.clause_lengths = list(map(len, formula.clauses))
+        self.not_false_count = list(map(len, formula.clauses))
         self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
         self.occurrences = occurrence_lists(formula)
@@ -98,7 +98,7 @@ class SolverState:
     def snapshot(self):
         """Cheap copy of the observable state, for restoration checks."""
         return (self.trail.size, bytes(self.literal_is_true),
-                tuple(self.false_literals_count), self.conflict)
+                tuple(self.not_false_count), self.conflict)
 
 
 def build_state(formula, checked=False):
@@ -117,12 +117,12 @@ def _require_entry(state, literal, variable):
 
 def _assign(state, literals):
     """Make each literal true in turn on the current layer: append it to the
-    trail, set its flag, bump the false counts of the clauses holding its
-    negation.  A literal already set raises ContractError."""
+    trail, set its flag, decrement the not-false counts of the clauses
+    holding its negation.  A literal already set raises ContractError."""
     assignments = state.trail.assignments
     occurrences = state.occurrences
     is_true = state.literal_is_true
-    false_counts = state.false_literals_count
+    not_false_count = state.not_false_count
     checked = state.checked
     for literal in literals:
         if is_true[literal] or is_true[-literal]:
@@ -130,7 +130,7 @@ def _assign(state, literals):
         assignments.append(literal)
         is_true[literal] = 1
         for index in occurrences[-literal]:
-            false_counts[index] += 1
+            not_false_count[index] -= 1
         if checked:
             state.assert_valid()
 
@@ -144,8 +144,7 @@ def set_variable(state, variable, value):
     _assign(state, (literal,))
     if state.conflict is None:
         state.conflict = next((index for index in state.occurrences[-literal]
-                               if state.false_literals_count[index]
-                               == state.clause_lengths[index]), None)
+                               if not state.not_false_count[index]), None)
 
 
 def forced_literals(state, literal):
@@ -163,12 +162,11 @@ def forced_literals(state, literal):
     tracer = state.tracer
     occurrences = state.occurrences
     clauses = state.formula.clauses
-    lengths = state.clause_lengths
     is_true = state.literal_is_true
-    false_counts = state.false_literals_count
+    not_false_count = state.not_false_count
     while head < len(assignments):
         for index in occurrences[-assignments[head]]:
-            not_false = lengths[index] - false_counts[index]
+            not_false = not_false_count[index]
             if not_false > 1:
                 continue
             if not_false == 0:
@@ -188,18 +186,19 @@ def forced_literals(state, literal):
 
 
 def _roll_back(state, literals):
-    """Roll back the false counts of literals just popped from the trail,
-    whose pop cleared their flags; clear the conflict once its clause is no
-    longer fully false."""
+    """Roll back the not-false counts of literals just popped from the
+    trail, whose pop cleared their flags; clear the conflict once its clause
+    is no longer fully false."""
     occurrences = state.occurrences
-    false_counts = state.false_literals_count
+    not_false_count = state.not_false_count
     for literal in literals:
         for index in occurrences[-literal]:
-            false_counts[index] -= 1
+            not_false_count[index] += 1
     conflict = state.conflict
-    if (conflict is not None
-            and false_counts[conflict] != state.clause_lengths[conflict]):
+    if conflict is not None and not_false_count[conflict]:
         state.conflict = None
+    if state.checked:
+        state.assert_valid()
 
 
 def unset_variable(state, literal):
@@ -210,10 +209,8 @@ def unset_variable(state, literal):
 
 def undo_last_layer(state):
     """Pop the last trail layer, which clears its flags, and roll back the
-    counters of its literals in one loop."""
+    counts of its literals in one loop."""
     _roll_back(state, state.trail.pop_layer())
-    if state.checked:
-        state.assert_valid()
 
 
 def has_empty_clause(state):
@@ -242,6 +239,8 @@ def first_open_clause(state, start=0):
     is_true = state.literal_is_true
     clauses = state.formula.clauses
     if state.checked:
+        require(0 <= start <= len(clauses),
+                "clause cursor %r out of range" % (start,))
         require(_first_open(is_true, clauses, 0, start) is None,
                 "an open clause lies below start %d" % start)
     return _first_open(is_true, clauses, start, len(clauses))
@@ -256,7 +255,7 @@ def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
     Covers the trail invariants, which include its literal flags, the
-    state's flags being the trail's, the false counters, the conflict naming
+    state's flags being the trail's, the clause counts, the conflict naming
     a fully-false clause, and the occurrence lists.  Pure; returns a bool.
     """
     formula = state.formula
@@ -267,13 +266,12 @@ def check_state_invariants(state):
     if (is_true is not state.trail.is_true
             or len(is_true) != 2 * formula.variables_count + 1):
         return False
-    false_counts = [sum(is_true[-literal] for literal in clause)
-                    for clause in clauses]
-    if state.false_literals_count != false_counts:
+    not_false_count = [sum(not is_true[-literal] for literal in clause)
+                       for clause in clauses]
+    if state.not_false_count != not_false_count:
         return False
     conflict = state.conflict
-    if conflict is not None and (
-            conflict not in range(len(clauses))
-            or false_counts[conflict] != len(clauses[conflict])):
+    if conflict is not None and (conflict not in range(len(clauses))
+                                 or not_false_count[conflict]):
         return False
     return state.occurrences == occurrence_lists(formula)

@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from dpllsat import (UNSET, build_formula, brute_force, check_model,
-                     is_satisfiable_extend)
+                     is_satisfiable_extend, oracle)
 from dpllsat.oracle import OracleCapExceeded
 from helpers import example1, make_rng, random_formula
 
@@ -101,3 +104,17 @@ class TestOracleProperties:
             assert not is_satisfiable_extend(f, refined)
             checked += 1
         assert checked > 0
+
+
+def test_oracle_imports_no_solver_code():
+    # the oracle is independent ground truth only if it reuses nothing of
+    # the solver, not even a constant
+    assert oracle.UNSET == UNSET
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "")
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported
+                             if name.startswith((".", "dpllsat"))]

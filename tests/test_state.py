@@ -1,13 +1,12 @@
 import tracemalloc
-from operator import eq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
-                     build_state, check_state_invariants, first_open_clause,
-                     get_literal_value, has_empty_clause,
+                     build_state, check_state_invariants, choose_literal,
+                     first_open_clause, get_literal_value, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
                      parse_dimacs, set_literal, set_variable, solve,
                      undo_last_layer)
@@ -25,9 +24,15 @@ def true_counts(s):
             for clause in s.formula.clauses]
 
 
+def false_counts(s):
+    """False literals per clause, the paper's falseLiteralsCount."""
+    return [len(clause) - not_false for clause, not_false
+            in zip(s.formula.clauses, s.not_false_count)]
+
+
 def fully_false_count(s):
-    """Clauses whose false count equals their length."""
-    return sum(map(eq, s.false_literals_count, s.clause_lengths))
+    """Clauses with no literal that is not false."""
+    return s.not_false_count.count(0)
 
 
 class TestBuildState:
@@ -39,7 +44,8 @@ class TestBuildState:
     def test_all_counters_zero(self):
         s = fresh_example1_state()
         assert s.literal_is_true == bytearray(2 * 7 + 1)
-        assert s.false_literals_count == [0] * 5
+        assert s.not_false_count == [3, 2, 2, 3, 3]
+        assert false_counts(s) == [0] * 5
         assert s.conflict is None
         assert s.truth_assignment == [UNSET] * 7
         assert s.trail.size == 0
@@ -67,6 +73,21 @@ class TestBuildState:
         assert state.occurrences[1] == [0]
         assert peak <= 20 * formula.variables_count
 
+    def test_memory_per_clause(self):
+        # one count per clause and the occurrence lists' references; the
+        # formula's own clause tuples are built before the trace starts
+        clauses = 100000
+        formula = parse_dimacs("p cnf 3 %d\n%s" % (clauses,
+                                                     "1 2 3 0\n" * clauses))
+        tracemalloc.start()
+        try:
+            build_state(formula)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(formula.clauses) == clauses  # none merged by the parser
+        assert peak <= 64 * clauses
+
     def test_rejects_trivially_unsat(self):
         f = parse_dimacs("p cnf 1 1\n0\n")
         with pytest.raises(ContractError):
@@ -93,18 +114,18 @@ class TestSetVariable:
         set_variable(s, 0, True)  # x1 := true
         assert s.literal_is_true[1] and not s.literal_is_true[-1]
         assert true_counts(s) == [1, 0, 0, 0, 0]
-        assert s.false_literals_count[1] == 1  # clause 2 holds -x1
+        assert false_counts(s)[1] == 1  # clause 2 holds -x1
 
     def test_fig2_second_assignment(self):
         s = fresh_example1_state(checked=True)
         s.trail.new_layer()
         set_variable(s, 0, True)
         set_variable(s, 1, False)  # x2 := false
-        assert s.false_literals_count[0] == 1
+        assert false_counts(s)[0] == 1
         assert s.literal_is_true[-2] and not s.literal_is_true[2]
         assert true_counts(s)[1] == 1          # -x2 true in clause 2
-        assert s.false_literals_count[2] == 1  # clause 3 holds x2
-        assert s.false_literals_count[3] == 1  # clause 4 holds x2
+        assert false_counts(s)[2] == 1         # clause 3 holds x2
+        assert false_counts(s)[3] == 1         # clause 4 holds x2
 
     def test_already_set_rejected(self):
         s = fresh_example1_state()
@@ -166,17 +187,26 @@ class TestUnsetVariable:
         s = fresh_example1_state()
         s.trail.new_layer()
         flags_before = bytes(s.literal_is_true)
-        false_before = list(s.false_literals_count)
+        counts_before = list(s.not_false_count)
         set_variable(s, 1, False)
         undo_last_layer(s)
         assert s.literal_is_true == flags_before
-        assert s.false_literals_count == false_before
+        assert s.not_false_count == counts_before
         assert s.truth_assignment[1] == UNSET
 
     def test_never_set_rejected(self):
         s = fresh_example1_state()
         with pytest.raises(ContractError):
             undo_last_layer(s)
+
+    def test_checked_unset_variable_without_pop_rejected(self):
+        # x1 is still on the trail, so rolling back its counts leaves
+        # them disagreeing with the flags
+        s = fresh_example1_state(checked=True)
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        with pytest.raises(ContractError):
+            unset_variable(s, 1)
 
     def test_unset_variable_after_pop_restores_snapshot(self):
         # x1 := false empties the unit clause (1), so the recorded
@@ -322,6 +352,21 @@ class TestFirstOpenClause:
         # unchecked mode trusts the caller's cursor
         assert first_open_clause(fresh_example1_state(), 1) == 1
 
+    def test_checked_mode_rejects_a_cursor_out_of_range(self):
+        s = fresh_example1_state(checked=True)
+        for start in (-1, 6):
+            with pytest.raises(ContractError, match="out of range"):
+                first_open_clause(s, start)
+        with pytest.raises(ContractError, match="out of range"):
+            choose_literal(s, -1)
+        # every clause satisfied: the scan below start would run off the end
+        s = build_state(build_formula(1, [[1]]), checked=True)
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        assert first_open_clause(s, 1) is None
+        with pytest.raises(ContractError, match="out of range"):
+            first_open_clause(s, 2)
+
 
 class TestStateInvariantChecker:
     def test_holds_after_public_operations(self):
@@ -335,7 +380,7 @@ class TestStateInvariantChecker:
 
     def test_corrupted_counter_detected(self):
         s = fresh_example1_state()
-        s.false_literals_count[0] += 1
+        s.not_false_count[0] -= 1
         assert not check_state_invariants(s)
 
     def test_corrupted_literal_flag_detected(self):
@@ -458,7 +503,7 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     variable = unset[0]
     s.trail.new_layer()  # a layer of its own, so that undo reverts just it
     flags_before = bytes(s.literal_is_true)
-    false_before = list(s.false_literals_count)
+    counts_before = list(s.not_false_count)
     conflict_before = s.conflict
     set_variable(s, variable, value)
     literal = variable + 1 if value else -variable - 1
@@ -468,8 +513,8 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     touched = set(s.occurrences[-literal])
     for index in range(len(s.formula.clauses)):
         if index not in touched:
-            assert s.false_literals_count[index] == false_before[index]
+            assert s.not_false_count[index] == counts_before[index]
     undo_last_layer(s)
     assert s.literal_is_true == flags_before
-    assert s.false_literals_count == false_before
+    assert s.not_false_count == counts_before
     assert s.conflict == conflict_before
