@@ -1,4 +1,4 @@
-"""DPLL SAT solver with a layered assignment trail, counter-based unit
+"""DPLL SAT solver with a layered assignment trail, counter-free unit
 propagation, and runtime-checkable data-structure invariants."""
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ frame keeps that index for both children.  A true literal stays true
 while the trail grows, so a root-to-leaf path scans each clause at most
 once.
 
-`set_literal` holds no counter code: it writes the literals that
-`state.forced_literals` yields through `state._assign`, the one write loop,
-as MiniSat's `propagate` hands each forced literal to `uncheckedEnqueue`.
+`set_literal` checks its literal and hands it to `state.propagate`, the
+one loop that makes the decision and every literal it forces true; like
+MiniSat's `propagate`, it enqueues each forced literal where it finds it.
 """
 
 import time
@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .state import (TRUE, _assign, _require_entry, first_open_clause,
-                    forced_literals, has_empty_clause, undo_last_layer)
+from .state import (TRUE, _require_entry, any_fully_false, first_open_clause,
+                    has_empty_clause, propagate, undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -90,16 +90,16 @@ def choose_literal(state, start=0):
 def set_literal(state, literal, value):
     """Make `literal` evaluate to `value`, then unit-propagate to quiescence.
 
-    The decision and each literal it forces are written through the one
-    write loop, `state._assign`, as `state.forced_literals` yields them.
-    Propagation stops at the first fully false clause and records it in
-    `state.conflict`; the caller detects the conflict via has_empty_clause.
+    The decision and each literal it forces are written by one loop,
+    `state.propagate`.  Propagation stops at the first fully false clause
+    and records it in `state.conflict`; the caller detects the conflict via
+    has_empty_clause.
     No open layer, a literal out of range or already set raise
     ContractError before anything changes.
     """
     _require_entry(state, literal, abs(literal) - 1)
     before = len(state.trail)
-    _assign(state, forced_literals(state, literal if value else -literal))
+    propagate(state, literal if value else -literal)
     require(len(state.trail) > before,
             "propagation must assign at least one variable")
 
@@ -144,7 +144,7 @@ def _search(state, deadline, start):
             raise TimeLimitReached()
         if state.checked:
             # after set_literal the conflict is recorded iff one exists
-            require(has_empty_clause(state) == (0 in state.not_false_count),
+            require(has_empty_clause(state) == any_fully_false(state),
                     "the recorded conflict disagrees with a full scan")
         if has_empty_clause(state):
             result = SolveResult(False)
@@ -216,8 +216,8 @@ def solve(state, time_limit=None):
     (seconds) expires.  Either way the state is left exactly as it was on
     entry: if the search or its tracer raises, every trail layer the search
     opened is undone before the exception propagates.  KeyboardInterrupt
-    and other asynchronous interrupts can strike in the middle of a counter
-    update, so they are not unwound and the state must be rebuilt.
+    and other asynchronous interrupts can strike between the writes of an
+    assignment, so they are not unwound and the state must be rebuilt.
     """
     deadline = None
     if time_limit is not None:

@@ -1,27 +1,28 @@
-"""Mutable search state: the trail, per-clause not-false counts, the
-conflict field, occurrence lists.
+"""Mutable search state: the trail, the conflict field, occurrence lists
+and the binary clauses' literal sums.
 
 The trail owns the assignment: it stores the literals in push order and
 one flag per signed literal, `literal_is_true`, which it clears on a pop;
 `unset_count` is derived from its length and `truth_assignment` from the
-flags.  This module owns the rest.  One loop, `_assign`, makes literals
-true: it appends each to the trail, sets its flag and decrements the
-not-false counts; `set_variable` feeds it one literal, the search what
-`forced_literals` yields.  `undo_last_layer` pops a layer and rolls back
-the counts of its literals in one loop; `unset_variable` runs the same
-loop for one literal that the caller has popped.  `occurrences[literal]`
-lists the clauses that contain a literal, and like the flags it is
-indexed directly by the signed code.
+flags.  `occurrences[literal]` lists the clauses that contain a literal,
+and like the flags it is indexed directly by the signed code.
 
-Each clause keeps one count, of its literals that are not false, in place
-of the paper's true and false counters: as Chaff observes (Moskewicz et
-al., DAC 2001), propagation needs only to see it reach one or zero.  A
-clause is fully false iff its count is 0, and unit iff it is 1 with that
-literal unset.  `conflict`, the O(1) conflict test, is the index of a
-fully-false clause or None: propagation records the clause where it finds
-it and `set_variable` the one it makes, only when none is recorded, so it
-names the oldest conflict; the rollback clears it once that clause is no
-longer fully false.  `first_open_clause` checks clauses against the flags.
+No clause keeps a counter.  The paper's solver keeps a true and a false
+count per clause, and every clause holding a literal pays an update when
+the literal is assigned and again when it is unassigned (Chaff, Moskewicz
+et al., DAC 2001).  Here `propagate` makes a literal true, then reads each
+clause holding the negation of a queued literal against the flags; undo
+clears the flags in the trail's pop and rolls back nothing else.  A
+binary clause `(a, b)` needs no scan: `pair_sum[index]` holds `a + b`, so
+the other literal of a false one is the sum minus it.  A normalized
+binary clause is never a tautology, so its sum is never 0; every other
+clause holds 0 and is scanned.
+
+`conflict`, the O(1) conflict test, is the index of a fully-false clause
+or None: propagation records the clause where it finds it and
+`set_variable` the one it makes, only when none is recorded, so it names
+the oldest conflict; undo clears it once that clause is no longer fully
+false.  `first_open_clause` checks clauses against the flags.
 """
 
 from ._contracts import ContractError, require
@@ -55,6 +56,17 @@ def occurrence_lists(formula):
     return occurrences
 
 
+def pair_sums(clauses):
+    """`a + b` per binary clause `(a, b)`, 0 per other clause."""
+    return [clause[0] + clause[1] if len(clause) == 2 else 0
+            for clause in clauses]
+
+
+def _fully_false(is_true, clause):
+    """True iff every literal of the clause is false."""
+    return all(is_true[-literal] for literal in clause)
+
+
 class SolverState:
     """One search's view of a shared immutable CnfFormula.
 
@@ -70,7 +82,7 @@ class SolverState:
         self.checked = checked
         self.trail = Trail(formula.variables_count)
         self.literal_is_true = self.trail.is_true  # by signed literal
-        self.not_false_count = list(map(len, formula.clauses))
+        self.pair_sum = pair_sums(formula.clauses)  # read-only
         self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
         self.occurrences = occurrence_lists(formula)
@@ -97,8 +109,7 @@ class SolverState:
 
     def snapshot(self):
         """Cheap copy of the observable state, for restoration checks."""
-        return (self.trail.size, bytes(self.literal_is_true),
-                tuple(self.not_false_count), self.conflict)
+        return (self.trail.size, bytes(self.literal_is_true), self.conflict)
 
 
 def build_state(formula, checked=False):
@@ -115,102 +126,110 @@ def _require_entry(state, literal, variable):
         raise ContractError("literal %r out of range" % (literal,))
 
 
-def _assign(state, literals):
-    """Make each literal true in turn on the current layer: append it to the
-    trail, set its flag, decrement the not-false counts of the clauses
-    holding its negation.  A literal already set raises ContractError."""
-    assignments = state.trail.assignments
-    occurrences = state.occurrences
+def _write(state, literal):
+    """Append `literal` to the current layer and set its flag.  A literal
+    already set raises ContractError."""
     is_true = state.literal_is_true
-    not_false_count = state.not_false_count
-    checked = state.checked
-    for literal in literals:
-        if is_true[literal] or is_true[-literal]:
-            raise ContractError("literal %d is already set" % literal)
-        assignments.append(literal)
-        is_true[literal] = 1
-        for index in occurrences[-literal]:
-            not_false_count[index] -= 1
-        if checked:
-            state.assert_valid()
+    if is_true[literal] or is_true[-literal]:
+        raise ContractError("literal %d is already set" % literal)
+    state.trail.assignments.append(literal)
+    is_true[literal] = 1
+    if state.checked:
+        state.assert_valid()
 
 
 def set_variable(state, variable, value):
-    """Assign one variable on the current trail layer, with no propagation;
-    the search writes through the same loop.  With no conflict recorded, a
-    clause that this makes fully false is recorded as the conflict."""
+    """Assign one variable on the current trail layer, with no propagation.
+    With no conflict recorded, a clause that this makes fully false is
+    recorded as the conflict."""
     literal = variable + 1 if value else -variable - 1
     _require_entry(state, literal, variable)
-    _assign(state, (literal,))
+    _write(state, literal)
     if state.conflict is None:
+        is_true = state.literal_is_true
+        clauses = state.formula.clauses
         state.conflict = next((index for index in state.occurrences[-literal]
-                               if not state.not_false_count[index]), None)
+                               if _fully_false(is_true, clauses[index])),
+                              None)
 
 
-def forced_literals(state, literal):
-    """Yield `literal`, then each literal that unit propagation forces; the
-    consumer makes each one true before it asks for the next.
+def propagate(state, literal):
+    """Make `literal` true on the current layer, then unit-propagate.
 
-    The trail from its length on entry is the queue, read from `head`.  For
-    each queued literal the clauses holding its negation are visited in
-    index order: a fully false one ends the generator and is recorded as the
-    conflict if none is, and a unit one forces its unset literal.
+    The trail from `literal` on is the queue, read from `head`.  For each
+    queued literal the clauses holding its negation are visited in index
+    order: a fully false one ends propagation and is recorded as the
+    conflict if none is, and a unit one forces its unset literal, which is
+    written here and queued.  A literal already set raises ContractError
+    before anything changes.
     """
+    _write(state, literal)
     assignments = state.trail.assignments
-    head = len(assignments)
-    yield literal
+    head = len(assignments) - 1
     tracer = state.tracer
     occurrences = state.occurrences
     clauses = state.formula.clauses
+    pair_sum = state.pair_sum
     is_true = state.literal_is_true
-    not_false_count = state.not_false_count
+    checked = state.checked
     while head < len(assignments):
-        for index in occurrences[-assignments[head]]:
-            not_false = not_false_count[index]
-            if not_false > 1:
-                continue
-            if not_false == 0:
+        false = -assignments[head]
+        head += 1
+        for index in occurrences[false]:
+            other = pair_sum[index]
+            if other:  # a binary clause: its other literal, from the sum
+                other -= false
+                if is_true[other]:
+                    continue
+                if is_true[-other]:
+                    other = 0
+            else:  # find the one literal that is not false, if only one is
+                for candidate in clauses[index]:
+                    if not is_true[-candidate]:
+                        if other or is_true[candidate]:
+                            other = None  # satisfied, or two not false
+                            break
+                        other = candidate
+                if other is None:
+                    continue
+            if not other:
                 if state.conflict is None:
                     state.conflict = index
                 return  # remaining propagation is pointless
-            for literal in clauses[index]:
-                if not is_true[-literal]:
-                    break
-            if is_true[literal]:
-                continue  # satisfied
             if tracer is not None:
-                tracer.emit(("propagate", abs(literal) - 1, literal > 0,
+                tracer.emit(("propagate", abs(other) - 1, other > 0,
                              index, tracer.assignment(state)))
-            yield literal
-        head += 1
+            assignments.append(other)
+            is_true[other] = 1
+            if checked:
+                state.assert_valid()
 
 
-def _roll_back(state, literals):
-    """Roll back the not-false counts of literals just popped from the
-    trail, whose pop cleared their flags; clear the conflict once its clause
-    is no longer fully false."""
-    occurrences = state.occurrences
-    not_false_count = state.not_false_count
-    for literal in literals:
-        for index in occurrences[-literal]:
-            not_false_count[index] += 1
+def _clear_stale_conflict(state):
+    """After an undo: forget the conflict once its clause is no longer
+    fully false."""
     conflict = state.conflict
-    if conflict is not None and not_false_count[conflict]:
+    if conflict is not None and not _fully_false(
+            state.literal_is_true, state.formula.clauses[conflict]):
         state.conflict = None
     if state.checked:
         state.assert_valid()
 
 
 def unset_variable(state, literal):
-    """Roll back set_variable for a literal just popped from the trail.  The
-    search does not call it: it undoes whole layers with undo_last_layer."""
-    _roll_back(state, (literal,))
+    """Finish undoing set_variable for a literal that the caller has popped
+    from the trail.  The search does not call it: it undoes whole layers
+    with undo_last_layer."""
+    if state.literal_is_true[literal]:
+        raise ContractError("literal %d is still on the trail" % literal)
+    _clear_stale_conflict(state)
 
 
 def undo_last_layer(state):
-    """Pop the last trail layer, which clears its flags, and roll back the
-    counts of its literals in one loop."""
-    _roll_back(state, state.trail.pop_layer())
+    """Pop the last trail layer, which clears its flags, and clear the
+    conflict if that made its clause no longer fully false."""
+    state.trail.pop_layer()
+    _clear_stale_conflict(state)
 
 
 def has_empty_clause(state):
@@ -238,9 +257,9 @@ def first_open_clause(state, start=0):
     """
     is_true = state.literal_is_true
     clauses = state.formula.clauses
+    require(0 <= start <= len(clauses),
+            "clause cursor %r out of range" % (start,))
     if state.checked:
-        require(0 <= start <= len(clauses),
-                "clause cursor %r out of range" % (start,))
         require(_first_open(is_true, clauses, 0, start) is None,
                 "an open clause lies below start %d" % start)
     return _first_open(is_true, clauses, start, len(clauses))
@@ -251,12 +270,20 @@ def is_formula_satisfied(state):
     return first_open_clause(state, 0) is None
 
 
+def any_fully_false(state):
+    """True iff some clause is fully false, by a scan of every clause."""
+    is_true = state.literal_is_true
+    return any(_fully_false(is_true, clause)
+               for clause in state.formula.clauses)
+
+
 def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
     Covers the trail invariants, which include its literal flags, the
-    state's flags being the trail's, the clause counts, the conflict naming
-    a fully-false clause, and the occurrence lists.  Pure; returns a bool.
+    state's flags being the trail's, the binary clauses' sums, the conflict
+    naming a fully-false clause, and the occurrence lists.  Pure; returns a
+    bool.
     """
     formula = state.formula
     clauses = formula.clauses
@@ -266,12 +293,11 @@ def check_state_invariants(state):
     if (is_true is not state.trail.is_true
             or len(is_true) != 2 * formula.variables_count + 1):
         return False
-    not_false_count = [sum(not is_true[-literal] for literal in clause)
-                       for clause in clauses]
-    if state.not_false_count != not_false_count:
+    if state.pair_sum != pair_sums(clauses):
         return False
     conflict = state.conflict
     if conflict is not None and (conflict not in range(len(clauses))
-                                 or not_false_count[conflict]):
+                                 or not _fully_false(is_true,
+                                                     clauses[conflict])):
         return False
     return state.occurrences == occurrence_lists(formula)

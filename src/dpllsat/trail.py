@@ -40,9 +40,10 @@ class Trail:
     def new_layer(self):
         """Open a new (empty) decision layer."""
         starts = self.starts
-        require(len(starts) < self.variables_count, "trail is full")
-        require(not starts or starts[-1] < len(self.assignments),
-                "current layer is empty, push an entry first")
+        if len(starts) >= self.variables_count:
+            raise ContractError("trail is full")
+        if starts and starts[-1] >= len(self.assignments):
+            raise ContractError("current layer is empty, push an entry first")
         starts.append(len(self.assignments))
 
     def push_entry(self, literal):
@@ -62,9 +63,11 @@ class Trail:
         """Remove the last layer, clear its flags, and return its literals
         in push order."""
         starts = self.starts
-        require(starts, "trail is empty")
+        if not starts:
+            raise ContractError("trail is empty")
         start = starts[-1]
-        require(start < len(self.assignments), "last layer is empty")
+        if start >= len(self.assignments):
+            raise ContractError("last layer is empty")
         starts.pop()
         literals = self.assignments[start:]
         del self.assignments[start:]

@@ -3,7 +3,7 @@ emit the same events, in the same order."""
 
 import pytest
 
-from dpllsat import Tracer
+from dpllsat import CnfFormula, Tracer
 from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import make_rng, random_formula, solve_formula
 from spec import spec_solve
@@ -25,13 +25,23 @@ def test_bench_family_events_equal_spec(formula):
     assert_refines_spec(formula)
 
 
-def test_random_formula_events_equal_spec():
+@pytest.mark.parametrize("min_len, max_len", [(1, 4), (2, 2)])
+def test_random_formula_events_equal_spec(min_len, max_len):
+    # (2, 2) draws binary clauses, repeated ones too, so that the binary
+    # clauses' literal sums decide every unit and conflict
     rng = make_rng(20261018)
     compared = 0
     while compared < 200:
         formula = random_formula(rng, min_vars=5, max_vars=40,
-                                 max_clauses=160, min_len=1, max_len=4)
+                                 max_clauses=160, min_len=min_len,
+                                 max_len=max_len)
         if formula.trivially_unsat:
             continue
         assert_refines_spec(formula)
         compared += 1
+
+
+def test_binary_tautology_events_equal_spec():
+    # built directly, so not normalized: the sum of (1, -1) is 0, and the
+    # clause is scanned like any clause that is not binary
+    assert_refines_spec(CnfFormula(2, ((1, -1), (-2,))))

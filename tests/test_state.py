@@ -25,14 +25,16 @@ def true_counts(s):
 
 
 def false_counts(s):
-    """False literals per clause, the paper's falseLiteralsCount."""
-    return [len(clause) - not_false for clause, not_false
-            in zip(s.formula.clauses, s.not_false_count)]
+    """False literals per clause, the paper's falseLiteralsCount, counted
+    from the literal flags."""
+    return [sum(s.literal_is_true[-literal] for literal in clause)
+            for clause in s.formula.clauses]
 
 
 def fully_false_count(s):
     """Clauses with no literal that is not false."""
-    return s.not_false_count.count(0)
+    return sum(count == len(clause) for clause, count
+               in zip(s.formula.clauses, false_counts(s)))
 
 
 class TestBuildState:
@@ -44,7 +46,7 @@ class TestBuildState:
     def test_all_counters_zero(self):
         s = fresh_example1_state()
         assert s.literal_is_true == bytearray(2 * 7 + 1)
-        assert s.not_false_count == [3, 2, 2, 3, 3]
+        assert s.pair_sum == [0, -3, -1, 0, 0]  # (-1, -2) and (2, -3)
         assert false_counts(s) == [0] * 5
         assert s.conflict is None
         assert s.truth_assignment == [UNSET] * 7
@@ -185,13 +187,14 @@ class TestUnsetVariable:
 
     def test_set_then_unset_restores_counters(self):
         s = fresh_example1_state()
+        snapshot_before = s.snapshot()
         s.trail.new_layer()
         flags_before = bytes(s.literal_is_true)
-        counts_before = list(s.not_false_count)
         set_variable(s, 1, False)
         undo_last_layer(s)
         assert s.literal_is_true == flags_before
-        assert s.not_false_count == counts_before
+        assert s.conflict is None
+        assert s.snapshot() == snapshot_before
         assert s.truth_assignment[1] == UNSET
 
     def test_never_set_rejected(self):
@@ -207,6 +210,15 @@ class TestUnsetVariable:
         set_variable(s, 0, True)
         with pytest.raises(ContractError):
             unset_variable(s, 1)
+
+    def test_unchecked_unset_variable_without_pop_rejected(self):
+        s = fresh_example1_state()
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        before = s.snapshot()
+        with pytest.raises(ContractError, match="still on the trail"):
+            unset_variable(s, 1)
+        assert s.snapshot() == before
 
     def test_unset_variable_after_pop_restores_snapshot(self):
         # x1 := false empties the unit clause (1), so the recorded
@@ -367,6 +379,17 @@ class TestFirstOpenClause:
         with pytest.raises(ContractError, match="out of range"):
             first_open_clause(s, 2)
 
+    def test_unchecked_mode_rejects_a_cursor_out_of_range(self):
+        # build_formula(3, [[1, 2], [3]]): a cursor of -1 would name the
+        # last clause, and choose_literal would decide from it
+        s = build_state(build_formula(3, [[1, 2], [3]]))
+        for start in (-1, 3):
+            with pytest.raises(ContractError, match="out of range"):
+                first_open_clause(s, start)
+        with pytest.raises(ContractError, match="out of range"):
+            choose_literal(s, -1)
+        assert first_open_clause(s, 2) is None
+
 
 class TestStateInvariantChecker:
     def test_holds_after_public_operations(self):
@@ -380,7 +403,7 @@ class TestStateInvariantChecker:
 
     def test_corrupted_counter_detected(self):
         s = fresh_example1_state()
-        s.not_false_count[0] -= 1
+        s.pair_sum[0] -= 1         # clause 1 is not binary, its sum is 0
         assert not check_state_invariants(s)
 
     def test_corrupted_literal_flag_detected(self):
@@ -501,9 +524,10 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     if not unset:
         return
     variable = unset[0]
+    snapshot_before = s.snapshot()
     s.trail.new_layer()  # a layer of its own, so that undo reverts just it
     flags_before = bytes(s.literal_is_true)
-    counts_before = list(s.not_false_count)
+    counts_before = false_counts(s)
     conflict_before = s.conflict
     set_variable(s, variable, value)
     literal = variable + 1 if value else -variable - 1
@@ -513,8 +537,9 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     touched = set(s.occurrences[-literal])
     for index in range(len(s.formula.clauses)):
         if index not in touched:
-            assert s.not_false_count[index] == counts_before[index]
+            assert false_counts(s)[index] == counts_before[index]
     undo_last_layer(s)
     assert s.literal_is_true == flags_before
-    assert s.not_false_count == counts_before
+    assert false_counts(s) == counts_before
     assert s.conflict == conflict_before
+    assert s.snapshot() == snapshot_before
