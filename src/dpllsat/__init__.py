@@ -11,8 +11,8 @@ from .search import (SolveResult, TimeLimitReached, Tracer, choose_literal,
                      complete_model, set_literal, solve, step)
 from .state import (FALSE, TRUE, UNSET, SolverState, build_state,
                     check_state_invariants, first_open_clause,
-                    get_literal_value, has_empty_clause,
-                    is_formula_satisfied, set_variable, undo_last_layer)
+                    has_empty_clause, is_formula_satisfied, set_variable,
+                    undo_last_layer)
 from .trail import Trail, check_trail_invariants
 
 __all__ = [
@@ -21,8 +21,8 @@ __all__ = [
     "FALSE", "TRUE", "UNSET",
     "brute_force", "build_formula", "build_state", "check_model",
     "check_state_invariants", "check_trail_invariants", "choose_literal",
-    "complete_model", "first_open_clause", "get_literal_value",
-    "has_empty_clause", "is_formula_satisfied", "is_satisfiable_extend",
-    "normalize_clause", "parse_dimacs", "set_literal", "set_variable",
-    "solve", "step", "to_dimacs", "undo_last_layer",
+    "complete_model", "first_open_clause", "has_empty_clause",
+    "is_formula_satisfied", "is_satisfiable_extend", "normalize_clause",
+    "parse_dimacs", "set_literal", "set_variable", "solve", "step",
+    "to_dimacs", "undo_last_layer",
 ]

@@ -12,9 +12,9 @@ frame keeps that index for both children.  A true literal stays true
 while the trail grows, so a root-to-leaf path scans each clause at most
 once.
 
-`set_literal` checks its literal and hands it to `state.propagate`, the
-one loop that makes the decision and every literal it forces true; like
-MiniSat's `propagate`, it enqueues each forced literal where it finds it.
+`set_literal` hands its literal to `state.propagate`, which writes it with
+`Trail.push_entry`, the one checked write, then, like MiniSat's
+`propagate`, enqueues each literal it forces where it finds it.
 """
 
 import time
@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .state import (TRUE, _require_entry, any_fully_false, first_open_clause,
+from .state import (TRUE, any_fully_false, first_open_clause,
                     has_empty_clause, propagate, undo_last_layer)
 
 
@@ -93,11 +93,12 @@ def set_literal(state, literal, value):
     The decision and each literal it forces are written by one loop,
     `state.propagate`.  Propagation stops at the first fully false clause
     and records it in `state.conflict`; the caller detects the conflict via
-    has_empty_clause.
-    No open layer, a literal out of range or already set raise
-    ContractError before anything changes.
+    has_empty_clause.  No open layer, a literal out of range or already set
+    raise ContractError before anything changes; the range is checked here
+    too, so that its message names `literal`, not -literal.
     """
-    _require_entry(state, literal, abs(literal) - 1)
+    if not 0 < abs(literal) <= state.formula.variables_count:
+        raise ContractError("literal %r out of range" % (literal,))
     before = len(state.trail)
     propagate(state, literal if value else -literal)
     require(len(state.trail) > before,

@@ -5,7 +5,8 @@ The trail owns the assignment: it stores the literals in push order and
 one flag per signed literal, `literal_is_true`, which it clears on a pop;
 `unset_count` is derived from its length and `truth_assignment` from the
 flags.  `occurrences[literal]` lists the clauses that contain a literal,
-and like the flags it is indexed directly by the signed code.
+and like the flags it is indexed directly by the signed code.  Every write
+but a forced one goes through `Trail.push_entry`, the one checked write.
 
 No clause keeps a counter.  The paper's solver keeps a true and a false
 count per clause, and every clause holding a literal pays an update when
@@ -29,14 +30,6 @@ from ._contracts import ContractError, require
 from .trail import Trail, check_trail_invariants
 
 UNSET, FALSE, TRUE = -1, 0, 1  # the values of a truth assignment
-
-
-def get_literal_value(truth_assignment, literal):
-    """Value of a literal under a partial assignment; UNSET propagates."""
-    if literal > 0:
-        return truth_assignment[literal - 1]
-    value = truth_assignment[-literal - 1]
-    return UNSET if value == UNSET else 1 - value
 
 
 def occurrence_lists(formula):
@@ -117,40 +110,22 @@ def build_state(formula, checked=False):
     return SolverState(formula, checked=checked)
 
 
-def _require_entry(state, literal, variable):
-    """The entry checks of a write: a layer is open and `variable`, the
-    variable of `literal`, is in range."""
-    if not state.trail.starts:
-        raise ContractError("no open layer")
-    if not 0 <= variable < state.formula.variables_count:
-        raise ContractError("literal %r out of range" % (literal,))
-
-
-def _write(state, literal):
-    """Append `literal` to the current layer and set its flag.  A literal
-    already set raises ContractError."""
-    is_true = state.literal_is_true
-    if is_true[literal] or is_true[-literal]:
-        raise ContractError("literal %d is already set" % literal)
-    state.trail.assignments.append(literal)
-    is_true[literal] = 1
-    if state.checked:
-        state.assert_valid()
-
-
 def set_variable(state, variable, value):
     """Assign one variable on the current trail layer, with no propagation.
     With no conflict recorded, a clause that this makes fully false is
     recorded as the conflict."""
     literal = variable + 1 if value else -variable - 1
-    _require_entry(state, literal, variable)
-    _write(state, literal)
+    if variable < 0:  # -2 would map onto -1, a literal in range
+        raise ContractError("literal %r out of range" % (literal,))
+    state.trail.push_entry(literal)
     if state.conflict is None:
         is_true = state.literal_is_true
         clauses = state.formula.clauses
         state.conflict = next((index for index in state.occurrences[-literal]
                                if _fully_false(is_true, clauses[index])),
                               None)
+    if state.checked:
+        state.assert_valid()
 
 
 def propagate(state, literal):
@@ -160,10 +135,12 @@ def propagate(state, literal):
     queued literal the clauses holding its negation are visited in index
     order: a fully false one ends propagation and is recorded as the
     conflict if none is, and a unit one forces its unset literal, which is
-    written here and queued.  A literal already set raises ContractError
-    before anything changes.
+    written here and queued.  `literal` goes through `Trail.push_entry`,
+    so a ContractError for it is raised before anything changes.
     """
-    _write(state, literal)
+    state.trail.push_entry(literal)
+    if state.checked:
+        state.assert_valid()
     assignments = state.trail.assignments
     head = len(assignments) - 1
     tracer = state.tracer
@@ -257,8 +234,8 @@ def first_open_clause(state, start=0):
     """
     is_true = state.literal_is_true
     clauses = state.formula.clauses
-    require(0 <= start <= len(clauses),
-            "clause cursor %r out of range" % (start,))
+    if not 0 <= start <= len(clauses):
+        raise ContractError("clause cursor %r out of range" % (start,))
     if state.checked:
         require(_first_open(is_true, clauses, 0, start) is None,
                 "an open clause lies below start %d" % start)

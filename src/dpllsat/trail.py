@@ -7,6 +7,8 @@ Extensible SAT-solver", SAT 2003): one flat list of signed literal codes
 plus the index where each layer starts.  The trail is also the one store
 of the assignment: one flag per signed literal that says whether it is
 true, indexed by the code as in Kissat, which a push sets and a pop clears.
+`push_entry` is the one checked write, like MiniSat's `enqueue`; only the
+literals that propagation forces, unset by construction, bypass it.
 """
 
 from ._contracts import ContractError, require

@@ -118,3 +118,19 @@ def test_oracle_imports_no_solver_code():
                  if isinstance(node, ast.ImportFrom)]
     assert imported and not [name for name in imported
                              if name.startswith((".", "dpllsat"))]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name with a leading underscore belongs to its own module; dunders
+    # such as __version__ are public
+    paths = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    private = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("dpllsat")):
+                private += ["%s: %s" % (path.name, alias.name)
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert len(paths) > 5 and private == []

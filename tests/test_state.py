@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      build_state, check_state_invariants, choose_literal,
-                     first_open_clause, get_literal_value, has_empty_clause,
+                     first_open_clause, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
                      parse_dimacs, set_literal, set_variable, solve,
                      undo_last_layer)
-from dpllsat.state import unset_variable
+from dpllsat.state import propagate, unset_variable
 from helpers import example1, make_rng, random_formula
 
 
@@ -76,8 +76,9 @@ class TestBuildState:
         assert peak <= 20 * formula.variables_count
 
     def test_memory_per_clause(self):
-        # one count per clause and the occurrence lists' references; the
-        # formula's own clause tuples are built before the trace starts
+        # one binary-sum slot per clause and the occurrence lists'
+        # references; the formula's own clause tuples are built before the
+        # trace starts
         clauses = 100000
         formula = parse_dimacs("p cnf 3 %d\n%s" % (clauses,
                                                      "1 2 3 0\n" * clauses))
@@ -94,19 +95,6 @@ class TestBuildState:
         f = parse_dimacs("p cnf 1 1\n0\n")
         with pytest.raises(ContractError):
             build_state(f)
-
-
-class TestGetLiteralValue:
-    def test_positive_of_true(self):
-        assert get_literal_value([TRUE, UNSET], 1) == TRUE
-
-    def test_negative_of_true(self):
-        assert get_literal_value([TRUE, UNSET], -1) == FALSE
-
-    def test_unset_propagates(self):
-        tau = [TRUE, FALSE, UNSET, UNSET, UNSET]
-        assert get_literal_value(tau, 5) == UNSET
-        assert get_literal_value(tau, -5) == UNSET
 
 
 class TestSetVariable:
@@ -144,7 +132,8 @@ class TestSetVariable:
         assert s.unset_count == before - 1
 
 
-WRITES = {"set_variable": set_variable, "set_literal": set_literal}
+WRITES = {"set_variable": set_variable, "set_literal": set_literal,
+          "propagate": propagate}
 
 
 @pytest.mark.parametrize("write, layer, args, message", [
@@ -160,6 +149,11 @@ WRITES = {"set_variable": set_variable, "set_literal": set_literal}
     ("set_variable", True, (0, False), "literal -1 is already set"),
     ("set_literal", True, (1, True), "literal 1 is already set"),
     ("set_literal", True, (1, False), "literal -1 is already set"),
+    ("propagate", False, (1,), "no open layer"),
+    ("propagate", True, (0,), "literal 0 out of range"),
+    ("propagate", True, (8,), "literal 8 out of range"),
+    ("propagate", True, (-8,), "literal -8 out of range"),
+    ("propagate", True, (-1,), "literal -1 is already set"),
 ])
 @pytest.mark.parametrize("checked", [False, True])
 def test_rejected_write_changes_nothing(write, layer, args, message, checked):
@@ -203,8 +197,8 @@ class TestUnsetVariable:
             undo_last_layer(s)
 
     def test_checked_unset_variable_without_pop_rejected(self):
-        # x1 is still on the trail, so rolling back its counts leaves
-        # them disagreeing with the flags
+        # x1 is still on the trail, so unset_variable's precondition, that
+        # the caller has popped the literal, does not hold
         s = fresh_example1_state(checked=True)
         s.trail.new_layer()
         set_variable(s, 0, True)
@@ -474,8 +468,10 @@ def test_status_queries_match_scans_on_random_walk():
                 implied[abs(literal) - 1] = TRUE if literal > 0 else FALSE
             tau = s.truth_assignment
             assert tau == implied
-            values = [[get_literal_value(tau, lit) for lit in clause]
-                      for clause in f.clauses]
+            # literal v+1 has value tau[v], and -v-1 its flip, UNSET kept
+            flip = {TRUE: FALSE, FALSE: TRUE, UNSET: UNSET}
+            values = [[tau[lit - 1] if lit > 0 else flip[tau[-lit - 1]]
+                       for lit in clause] for clause in f.clauses]
             assert has_empty_clause(s) == any(
                 all(v == FALSE for v in vs) for vs in values)
             open_ = [i for i, vs in enumerate(values) if TRUE not in vs]
