@@ -8,11 +8,11 @@ from .cnf import (CnfFormula, DimacsError, DimacsWarning, build_formula,
                   normalize_clause, parse_dimacs, to_dimacs)
 from .oracle import brute_force, check_model, is_satisfiable_extend
 from .search import (SolveResult, TimeLimitReached, Tracer, choose_literal,
-                     complete_model, set_literal, solve, step)
+                     complete_model, solve, step)
 from .state import (FALSE, TRUE, UNSET, SolverState, build_state,
                     check_state_invariants, first_open_clause,
-                    has_empty_clause, is_formula_satisfied, set_variable,
-                    undo_last_layer)
+                    has_empty_clause, is_formula_satisfied, set_literal,
+                    set_variable, undo_last_layer)
 from .trail import Trail, check_trail_invariants
 
 __all__ = [

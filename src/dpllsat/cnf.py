@@ -254,8 +254,6 @@ def parse_dimacs(text):
     checks of the clause data: the formula is built from it without
     build_formula's or CnfFormula's own range checks.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     variables_count = declared_clauses = None

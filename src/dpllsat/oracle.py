@@ -1,7 +1,7 @@
 """Independent ground truth for differential testing.
 
 Everything here evaluates clauses directly against candidate assignments;
-none of the solver's counters, occurrence lists, or propagation code is
+none of the solver's trail, occurrence lists, or propagation code is
 reused, so agreement between the two is meaningful evidence.
 """
 

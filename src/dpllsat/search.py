@@ -1,4 +1,4 @@
-"""DPLL search: literal choice, unit propagation, decide/undo.
+"""DPLL search: literal choice, decide/undo.
 
 The search is one loop over the trail, as in MiniSat's `search` (Eén and
 Sörensson, SAT 2003).  Each open decision layer has a frame: its decision
@@ -12,7 +12,8 @@ frame keeps that index for both children.  A true literal stays true
 while the trail grows, so a root-to-leaf path scans each clause at most
 once.
 
-`set_literal` hands its literal to `state.propagate`, which writes it with
+Each decision is one call of `state.set_literal`, the paper's
+write-and-propagate operation: it writes the decision with
 `Trail.push_entry`, the one checked write, then, like MiniSat's
 `propagate`, enqueues each literal it forces where it finds it.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from ._contracts import ContractError, require
 from .state import (TRUE, any_fully_false, first_open_clause,
-                    has_empty_clause, propagate, undo_last_layer)
+                    has_empty_clause, set_literal, undo_last_layer)
 
 
 class TimeLimitReached(Exception):
@@ -85,24 +86,6 @@ def choose_literal(state, start=0):
             if not is_true[-literal]:
                 return literal
     raise ContractError("no unsatisfied clause, nothing to decide")
-
-
-def set_literal(state, literal, value):
-    """Make `literal` evaluate to `value`, then unit-propagate to quiescence.
-
-    The decision and each literal it forces are written by one loop,
-    `state.propagate`.  Propagation stops at the first fully false clause
-    and records it in `state.conflict`; the caller detects the conflict via
-    has_empty_clause.  No open layer, a literal out of range or already set
-    raise ContractError before anything changes; the range is checked here
-    too, so that its message names `literal`, not -literal.
-    """
-    if not 0 < abs(literal) <= state.formula.variables_count:
-        raise ContractError("literal %r out of range" % (literal,))
-    before = len(state.trail)
-    propagate(state, literal if value else -literal)
-    require(len(state.trail) > before,
-            "propagation must assign at least one variable")
 
 
 def complete_model(truth_assignment):
@@ -194,10 +177,11 @@ def step(state, literal, value, deadline=None):
 
     Returns the verdict of the subtree below the decision; the state is
     restored exactly, even on SAT, and also when it raises (see solve).  A
-    literal out of range or already set raises ContractError before any
-    layer is opened.
+    literal that is not an int in range, or one already set, raises
+    ContractError before any layer is opened.
     """
-    require(0 < abs(literal) <= state.formula.variables_count,
+    require(type(literal) is int
+            and 0 < abs(literal) <= state.formula.variables_count,
             "literal %r out of range" % (literal,))
     is_true = state.literal_is_true
     require(not (is_true[literal] or is_true[-literal]),

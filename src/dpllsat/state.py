@@ -11,8 +11,8 @@ but a forced one goes through `Trail.push_entry`, the one checked write.
 No clause keeps a counter.  The paper's solver keeps a true and a false
 count per clause, and every clause holding a literal pays an update when
 the literal is assigned and again when it is unassigned (Chaff, Moskewicz
-et al., DAC 2001).  Here `propagate` makes a literal true, then reads each
-clause holding the negation of a queued literal against the flags; undo
+et al., DAC 2001).  Here `set_literal` makes a literal true, then reads
+each clause holding the negation of a queued literal against the flags; undo
 clears the flags in the trail's pop and rolls back nothing else.  A
 binary clause `(a, b)` needs no scan: `pair_sum[index]` holds `a + b`, so
 the other literal of a false one is the sum minus it.  A normalized
@@ -128,21 +128,27 @@ def set_variable(state, variable, value):
         state.assert_valid()
 
 
-def propagate(state, literal):
-    """Make `literal` true on the current layer, then unit-propagate.
+def set_literal(state, literal, value):
+    """Make `literal` evaluate to `value` on the current layer, then
+    unit-propagate to quiescence.
 
-    The trail from `literal` on is the queue, read from `head`.  For each
-    queued literal the clauses holding its negation are visited in index
-    order: a fully false one ends propagation and is recorded as the
+    The trail from the written literal on is the queue, read from `head`.
+    For each queued literal the clauses holding its negation are visited in
+    index order: a fully false one ends propagation and is recorded as the
     conflict if none is, and a unit one forces its unset literal, which is
-    written here and queued.  `literal` goes through `Trail.push_entry`,
-    so a ContractError for it is raised before anything changes.
+    written here and queued.  No open layer, a literal that is not an int
+    in range, or one already set raise ContractError before anything
+    changes: the range is checked here, so that its message names
+    `literal`, not -literal, and the rest by `Trail.push_entry`.
     """
-    state.trail.push_entry(literal)
+    if (type(literal) is not int
+            or not 0 < abs(literal) <= state.formula.variables_count):
+        raise ContractError("literal %r out of range" % (literal,))
+    assignments = state.trail.assignments
+    before = head = len(assignments)
+    state.trail.push_entry(literal if value else -literal)
     if state.checked:
         state.assert_valid()
-    assignments = state.trail.assignments
-    head = len(assignments) - 1
     tracer = state.tracer
     occurrences = state.occurrences
     clauses = state.formula.clauses
@@ -172,7 +178,8 @@ def propagate(state, literal):
             if not other:
                 if state.conflict is None:
                     state.conflict = index
-                return  # remaining propagation is pointless
+                head = len(assignments)  # the rest of the queue is pointless
+                break
             if tracer is not None:
                 tracer.emit(("propagate", abs(other) - 1, other > 0,
                              index, tracer.assignment(state)))
@@ -180,6 +187,8 @@ def propagate(state, literal):
             is_true[other] = 1
             if checked:
                 state.assert_valid()
+    require(len(assignments) > before,
+            "propagation must assign at least one variable")
 
 
 def _clear_stale_conflict(state):

@@ -50,10 +50,12 @@ class Trail:
 
     def push_entry(self, literal):
         """Append a literal to the current layer and make it true.  Checks
-        that a layer is open and the literal is in range and unset first."""
+        that a layer is open and the literal is an int in range and unset
+        first."""
         if not self.starts:
             raise ContractError("no open layer")
-        if not 0 < abs(literal) <= self.variables_count:
+        if (type(literal) is not int
+                or not 0 < abs(literal) <= self.variables_count):
             raise ContractError("literal %r out of range" % (literal,))
         is_true = self.is_true
         if is_true[literal] or is_true[-literal]:

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import pytest
 
 import dpllsat.search
-from dpllsat import (TRUE, UNSET, ContractError, TimeLimitReached, Tracer,
-                     brute_force, build_formula, build_state, check_model,
-                     check_state_invariants, choose_literal, complete_model,
-                     is_formula_satisfied, is_satisfiable_extend,
-                     set_literal, solve, step)
+from dpllsat import (TRUE, UNSET, ContractError, SolverState,
+                     TimeLimitReached, Tracer, brute_force, build_formula,
+                     build_state, check_model, check_state_invariants,
+                     choose_literal, complete_model, is_formula_satisfied,
+                     is_satisfiable_extend, set_literal, solve, step)
 from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import example1, make_rng, random_formula, solve_formula
 
@@ -174,18 +174,25 @@ class TestStep:
         assert not step(build_state(f), 1, False).satisfiable
         assert step(build_state(f), 1, True).satisfiable
 
-    @pytest.mark.parametrize("literal", [3, -1],
-                             ids=["out_of_range", "already_set"])
-    def test_rejected_literal_opens_no_layer(self, literal):
-        s = build_state(build_formula(2, [[1, 2]]), checked=True)
-        s.trail.new_layer()
-        set_literal(s, 1, True)  # x1 true, x2 still unset
-        before = s.snapshot()
-        with pytest.raises(ContractError):
-            step(s, literal, True)
-        assert s.trail.size == 1
-        assert step(s, 2, True).satisfiable
-        assert s.snapshot() == before
+    @pytest.mark.parametrize("literal, message",
+                             [(3, "literal 3 out of range"),
+                              (-1, "literal -1 is already set"),
+                              (True, "literal True out of range"),
+                              (1.0, "literal 1.0 out of range")],
+                             ids=["out_of_range", "already_set", "bool",
+                                  "float"])
+    def test_rejected_literal_opens_no_layer(self, literal, message):
+        for checked in (False, True):
+            s = build_state(build_formula(2, [[1, 2]]), checked=checked)
+            s.trail.new_layer()
+            set_literal(s, 1, True)  # x1 true, x2 still unset
+            before = s.snapshot()
+            with pytest.raises(ContractError) as raised:
+                step(s, literal, True)
+            assert str(raised.value) == message
+            assert s.trail.size == 1
+            assert step(s, 2, True).satisfiable
+            assert s.snapshot() == before
 
 
 class TestSolve:
@@ -466,3 +473,57 @@ class TestExceptionSafeSolve:
                     assert state.tracer.limits == {limit}
             finally:
                 sys.setrecursionlimit(original)
+
+
+class TestCheckedModeChecks:
+    """Checked mode stands in for the paper's static proofs, so each of its
+    runtime checks is pinned: deleting any one of them fails a test here."""
+
+    @pytest.mark.parametrize("formula", [generate_pigeonhole(4),
+                                         generate_queens(5), example1()],
+                             ids=["php4", "queens5", "example1"])
+    def test_one_state_check_per_write_and_per_undo(self, formula,
+                                                    monkeypatch):
+        # the decision write, each forced literal and each undo are checked
+        # once each; the search calls no other checked write
+        state = build_state(formula, checked=True)
+        calls = []
+        original = SolverState.assert_valid
+
+        def counting(self):
+            calls.append(None)
+            original(self)
+
+        monkeypatch.setattr(SolverState, "assert_valid", counting)
+        state.tracer = Tracer()
+        solve(state)
+        kinds = Counter(event[0] for event in state.tracer.events)
+        assert kinds["decide"] and kinds["propagate"] and kinds["backtrack"]
+        assert len(calls) == (kinds["decide"] + kinds["propagate"]
+                              + kinds["backtrack"])
+
+    @pytest.mark.parametrize("formula, verdict",
+                             [(generate_pigeonhole(3), "UNSAT"),
+                              (generate_queens(5), "SAT")],
+                             ids=["php3", "queens5"])
+    def test_backtrack_that_restores_nothing_is_rejected(self, formula,
+                                                         verdict, monkeypatch):
+        # the first undo does nothing; the snapshot comparison must catch
+        # it there, before a later write trips over the stale layer
+        original = dpllsat.search.undo_last_layer
+        undos = []
+
+        def skip_first(state):
+            undos.append(None)
+            if len(undos) > 1:
+                original(state)
+
+        monkeypatch.setattr(dpllsat.search, "undo_last_layer", skip_first)
+        state = build_state(formula, checked=True)
+        before = state.snapshot()
+        with pytest.raises(ContractError,
+                           match="^backtrack did not restore the state"):
+            solve(state)
+        assert state.snapshot() == before
+        monkeypatch.undo()
+        assert solve(state).verdict == verdict

@@ -10,7 +10,7 @@ from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
                      is_formula_satisfied, is_satisfiable_extend,
                      parse_dimacs, set_literal, set_variable, solve,
                      undo_last_layer)
-from dpllsat.state import propagate, unset_variable
+from dpllsat.state import unset_variable
 from helpers import example1, make_rng, random_formula
 
 
@@ -132,8 +132,7 @@ class TestSetVariable:
         assert s.unset_count == before - 1
 
 
-WRITES = {"set_variable": set_variable, "set_literal": set_literal,
-          "propagate": propagate}
+WRITES = {"set_variable": set_variable, "set_literal": set_literal}
 
 
 @pytest.mark.parametrize("write, layer, args, message", [
@@ -149,11 +148,13 @@ WRITES = {"set_variable": set_variable, "set_literal": set_literal,
     ("set_variable", True, (0, False), "literal -1 is already set"),
     ("set_literal", True, (1, True), "literal 1 is already set"),
     ("set_literal", True, (1, False), "literal -1 is already set"),
-    ("propagate", False, (1,), "no open layer"),
-    ("propagate", True, (0,), "literal 0 out of range"),
-    ("propagate", True, (8,), "literal 8 out of range"),
-    ("propagate", True, (-8,), "literal -8 out of range"),
-    ("propagate", True, (-1,), "literal -1 is already set"),
+    ("set_literal", True, (-8, True), "literal -8 out of range"),
+    ("set_literal", True, (-1, True), "literal -1 is already set"),
+    # a literal must be an int: True equals 1, and -True is the int -1
+    ("set_literal", True, (True, True), "literal True out of range"),
+    ("set_literal", True, (True, False), "literal True out of range"),
+    ("set_literal", True, (1.0, True), "literal 1.0 out of range"),
+    ("set_variable", True, (1.0, True), "literal 2.0 out of range"),
 ])
 @pytest.mark.parametrize("checked", [False, True])
 def test_rejected_write_changes_nothing(write, layer, args, message, checked):

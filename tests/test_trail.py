@@ -81,6 +81,17 @@ class TestPushEntry:
         with pytest.raises(ContractError):
             t.push_entry(1)
 
+    @pytest.mark.parametrize("literal", [True, 1.0])
+    def test_non_int_literal_rejected(self, literal):
+        # True equals 1 and indexes the flag of literal 1, but it is not
+        # a literal code, so the trail invariant would reject it
+        t = Trail(3)
+        t.new_layer()
+        with pytest.raises(ContractError) as raised:
+            t.push_entry(literal)
+        assert str(raised.value) == "literal %r out of range" % (literal,)
+        assert t.assignments == [] and not any(t.is_true)
+
 
 class TestPopLayer:
     def test_pop_top_of_fig2(self):
