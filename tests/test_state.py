@@ -132,7 +132,9 @@ class TestSetVariable:
         assert s.unset_count == before - 1
 
 
-WRITES = {"set_variable": set_variable, "set_literal": set_literal}
+# "propagate" makes one literal true and propagates it: set_literal with value True
+WRITES = {"set_variable": set_variable, "set_literal": set_literal,
+          "propagate": lambda state, literal: set_literal(state, literal, True)}
 
 
 @pytest.mark.parametrize("write, layer, args, message", [
@@ -148,8 +150,11 @@ WRITES = {"set_variable": set_variable, "set_literal": set_literal}
     ("set_variable", True, (0, False), "literal -1 is already set"),
     ("set_literal", True, (1, True), "literal 1 is already set"),
     ("set_literal", True, (1, False), "literal -1 is already set"),
-    ("set_literal", True, (-8, True), "literal -8 out of range"),
-    ("set_literal", True, (-1, True), "literal -1 is already set"),
+    ("propagate", False, (1,), "no open layer"),
+    ("propagate", True, (0,), "literal 0 out of range"),
+    ("propagate", True, (8,), "literal 8 out of range"),
+    ("propagate", True, (-8,), "literal -8 out of range"),
+    ("propagate", True, (-1,), "literal -1 is already set"),
     # a literal must be an int: True equals 1, and -True is the int -1
     ("set_literal", True, (True, True), "literal True out of range"),
     ("set_literal", True, (True, False), "literal True out of range"),
