@@ -14,7 +14,7 @@ from itertools import chain, combinations, islice
 from . import __version__
 from .cnf import DimacsError, DimacsWarning, build_formula, parse_dimacs, to_dimacs
 from .oracle import check_model
-from .search import TimeLimitReached, Tracer, solve
+from .search import Tracer, solve
 from .state import build_state
 
 EXIT_SAT = 10
@@ -114,6 +114,25 @@ def _write_model(model, out):
         out.write("v %s\n" % " ".join(islice(literals, 20)))
 
 
+class _PrintingTracer(Tracer):
+    """Prints each decide, propagate and backtrack event as it happens."""
+
+    def __init__(self, out):
+        super().__init__()
+        self.out = out
+
+    def emit(self, event):
+        kind = event[0]
+        if kind == "decide" or kind == "propagate":
+            line = "c %s x%d=%s" % (kind, event[1] + 1,
+                                    "T" if event[2] else "F")
+            if kind == "propagate":
+                line += " (clause %d)" % (event[3] + 1)
+            print(line, file=self.out)
+        elif kind == "backtrack":
+            print("c backtrack to level %d" % event[1], file=self.out)
+
+
 def run(input_path, checked=False, time_limit=None, trace=False,
         out=None, err=None):
     """Parse, solve, and report one instance; returns the process exit code."""
@@ -148,26 +167,11 @@ def run(input_path, checked=False, time_limit=None, trace=False,
         print("error: variable count %d is too large"
               % formula.variables_count, file=err)
         return EXIT_ERROR
-    tracer = Tracer() if trace else None
-    state.tracer = tracer
-    try:
-        result = solve(state, time_limit=time_limit)
-    except TimeLimitReached:
+    state.tracer = _PrintingTracer(out) if trace else None
+    result = solve(state, time_limit=time_limit)
+    if result.satisfiable is None:
         print("s UNKNOWN", file=out)
         return EXIT_UNKNOWN
-
-    if trace:
-        for event in tracer.events:
-            if event[0] == "decide":
-                print("c decide x%d=%s" % (event[1] + 1,
-                                           "T" if event[2] else "F"), file=out)
-            elif event[0] == "propagate":
-                print("c propagate x%d=%s (clause %d)"
-                      % (event[1] + 1, "T" if event[2] else "F", event[3] + 1),
-                      file=out)
-            elif event[0] == "backtrack":
-                print("c backtrack to level %d" % event[1], file=out)
-
     if result.satisfiable:
         if not check_model(formula, result.model):
             print("error: produced model failed independent verification",

@@ -27,18 +27,14 @@ from .state import (TRUE, any_fully_false, first_open_clause,
                     has_empty_clause, set_literal, undo_last_layer)
 
 
-class TimeLimitReached(Exception):
-    """Raised when a cooperative solve deadline expires."""
-
-
 @dataclass(frozen=True)
 class SolveResult:
-    satisfiable: bool
+    satisfiable: bool  # None if the deadline passed first
     model: tuple = None  # complete assignment, present iff satisfiable
 
     @property
     def verdict(self):
-        return "SAT" if self.satisfiable else "UNSAT"
+        return {True: "SAT", False: "UNSAT", None: "UNKNOWN"}[self.satisfiable]
 
 
 class Tracer:
@@ -118,19 +114,19 @@ def _search(state, deadline, start):
     """Search below the current trail; return the verdict of that subtree.
 
     `start` is the clause cursor of the first node.  Every layer this opens
-    is closed again before it returns, also on SAT.
+    is closed again before it returns, also on SAT and on UNKNOWN.
     """
     tracer = state.tracer
     frames = []  # (literal, cursor, on_false_branch, snapshot) per layer
     while True:
         # one search node
-        if deadline is not None and time.monotonic() >= deadline:
-            raise TimeLimitReached()
         if state.checked:
             # after set_literal the conflict is recorded iff one exists
             require(has_empty_clause(state) == any_fully_false(state),
                     "the recorded conflict disagrees with a full scan")
-        if has_empty_clause(state):
+        if deadline is not None and time.monotonic() >= deadline:
+            result = SolveResult(None)
+        elif has_empty_clause(state):
             result = SolveResult(False)
         else:
             start = first_open_clause(state, start)
@@ -147,7 +143,7 @@ def _search(state, deadline, start):
         while frames:
             literal, start, on_false_branch, before = frames.pop()
             _backtrack(state, before)
-            if result.satisfiable:
+            if result.satisfiable is not False:
                 continue
             if not on_false_branch:
                 frames.append((literal, start, True, before))
@@ -175,10 +171,10 @@ def _unwinding(state):
 def step(state, literal, value, deadline=None):
     """One decision: new layer, set the literal, search below it, undo.
 
-    Returns the verdict of the subtree below the decision; the state is
-    restored exactly, even on SAT, and also when it raises (see solve).  A
-    literal that is not an int in range, or one already set, raises
-    ContractError before any layer is opened.
+    Returns the verdict below the decision, UNKNOWN once the monotonic
+    `deadline` passes, with the state restored exactly, also when it
+    raises (see solve).  A non-int or out-of-range literal, or one already
+    set, raises ContractError before any layer is opened.
     """
     require(type(literal) is int
             and 0 < abs(literal) <= state.formula.variables_count,
@@ -197,9 +193,9 @@ def step(state, literal, value, deadline=None):
 def solve(state, time_limit=None):
     """Full DPLL search from the current (usually all-unset) state.
 
-    Returns SolveResult.  Raises TimeLimitReached if the optional time limit
-    (seconds) expires.  Either way the state is left exactly as it was on
-    entry: if the search or its tracer raises, every trail layer the search
+    Returns SolveResult, UNKNOWN if the optional time limit (seconds)
+    expires first.  The state is left exactly as it was on entry on every
+    return; if the search or its tracer raises, every trail layer the search
     opened is undone before the exception propagates.  KeyboardInterrupt
     and other asynchronous interrupts can strike between the writes of an
     assignment, so they are not unwound and the state must be rebuilt.

@@ -63,9 +63,9 @@ def _fully_false(is_true, clause):
 class SolverState:
     """One search's view of a shared immutable CnfFormula.
 
-    checked=True recomputes and asserts every invariant after each mutation;
-    this stands in for static verification and is meant for tests, not
-    benchmarks.
+    checked=True asserts every invariant (check_state_invariants) after each
+    mutation; this stands in for static verification and is meant for
+    tests, not benchmarks.
     """
 
     def __init__(self, formula, checked=False):
@@ -79,6 +79,7 @@ class SolverState:
         self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
         self.occurrences = occurrence_lists(formula)
+        self._derived_tables = None  # check_state_invariants' cache
         if checked:
             self.assert_valid()
 
@@ -145,7 +146,7 @@ def set_literal(state, literal, value):
             or not 0 < abs(literal) <= state.formula.variables_count):
         raise ContractError("literal %r out of range" % (literal,))
     assignments = state.trail.assignments
-    before = head = len(assignments)
+    head = len(assignments)
     state.trail.push_entry(literal if value else -literal)
     if state.checked:
         state.assert_valid()
@@ -187,8 +188,6 @@ def set_literal(state, literal, value):
             is_true[other] = 1
             if checked:
                 state.assert_valid()
-    require(len(assignments) > before,
-            "propagation must assign at least one variable")
 
 
 def _clear_stale_conflict(state):
@@ -268,8 +267,9 @@ def check_state_invariants(state):
 
     Covers the trail invariants, which include its literal flags, the
     state's flags being the trail's, the binary clauses' sums, the conflict
-    naming a fully-false clause, and the occurrence lists.  Pure; returns a
-    bool.
+    naming a fully-false clause, and the occurrence lists.  The first call
+    derives the sums and lists from the formula and caches them on the
+    state; each call compares the state's tables with them.  Returns a bool.
     """
     formula = state.formula
     clauses = formula.clauses
@@ -279,11 +279,14 @@ def check_state_invariants(state):
     if (is_true is not state.trail.is_true
             or len(is_true) != 2 * formula.variables_count + 1):
         return False
-    if state.pair_sum != pair_sums(clauses):
+    if state._derived_tables is None:
+        state._derived_tables = (pair_sums(clauses), occurrence_lists(formula))
+    pair_sum, occurrences = state._derived_tables
+    if state.pair_sum != pair_sum:
         return False
     conflict = state.conflict
     if conflict is not None and (conflict not in range(len(clauses))
                                  or not _fully_false(is_true,
                                                      clauses[conflict])):
         return False
-    return state.occurrences == occurrence_lists(formula)
+    return state.occurrences == occurrences

@@ -7,10 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dpllsat import brute_force, check_model, parse_dimacs, to_dimacs
+import dpllsat.cli
+import dpllsat.search
+from dpllsat import brute_force, check_model, parse_dimacs, solve, to_dimacs
 from dpllsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                          _write_model, generate_pigeonhole, generate_queens,
                          main)
@@ -184,6 +187,52 @@ class TestRun:
         code = main(["--time-limit", "0.05", path])
         assert code == EXIT_UNKNOWN
         assert capsys.readouterr().out.strip() == "s UNKNOWN"
+
+    def test_timed_out_trace_prints_events_then_unknown(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the deadline expires at the 40th search node, with layers open;
+        # the c lines are all written by the time solve returns
+        path = write_cnf(tmp_path, to_dimacs(generate_pigeonhole(6)))
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return 0.0 if len(calls) <= 40 else 1e9
+
+        written = []
+
+        def solve_then_read(state, **options):
+            result = solve(state, **options)
+            written.append(capsys.readouterr().out)
+            return result
+
+        monkeypatch.setattr(dpllsat.search, "time",
+                            SimpleNamespace(monotonic=clock))
+        monkeypatch.setattr(dpllsat.cli, "solve", solve_then_read)
+        code = main(["--trace", "--time-limit", "1", path])
+        assert code == EXIT_UNKNOWN
+        assert capsys.readouterr().out == "s UNKNOWN\n"
+        lines = written[0].splitlines()
+        assert "c decide x1=T" in lines
+        assert all(line.startswith("c ") for line in lines)
+        assert lines[-1] == "c backtrack to level 0"
+
+    def test_trace_lines_are_printed_while_solving(self, tmp_path, capsys,
+                                                    monkeypatch):
+        path = write_cnf(tmp_path, EXAMPLE1_DIMACS)
+        traced = []
+
+        def solve_then_read(state, **options):
+            result = solve(state, **options)
+            traced.append(capsys.readouterr().out)
+            return result
+
+        monkeypatch.setattr(dpllsat.cli, "solve", solve_then_read)
+        assert main(["--trace", path]) == EXIT_SAT
+        rest = capsys.readouterr().out
+        assert traced[0].startswith("c decide x1=T\nc propagate x2=F")
+        assert rest.startswith("s SATISFIABLE\n")
+        assert "c " not in rest
 
     @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
     def test_time_limit_not_positive_is_a_usage_error(self, tmp_path, capsys,

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import pytest
 
 import dpllsat.search
-from dpllsat import (TRUE, UNSET, ContractError, SolverState,
-                     TimeLimitReached, Tracer, brute_force, build_formula,
-                     build_state, check_model, check_state_invariants,
-                     choose_literal, complete_model, is_formula_satisfied,
-                     is_satisfiable_extend, set_literal, solve, step)
+from dpllsat import (TRUE, UNSET, ContractError, SolverState, Tracer,
+                     brute_force, build_formula, build_state, check_model,
+                     check_state_invariants, choose_literal, complete_model,
+                     is_formula_satisfied, is_satisfiable_extend, set_literal,
+                     solve, step)
 from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import example1, make_rng, random_formula, solve_formula
 
@@ -402,41 +402,81 @@ class LimitTracer(Tracer):
 class TestExceptionSafeSolve:
     def test_timed_out_solve_restores_state(self, monkeypatch):
         formula = generate_queens(8)
-        state = build_state(formula)
-        before = state.snapshot()
-        calls = []
+        for checked in (False, True):
+            state = build_state(formula, checked=checked)
+            before = state.snapshot()
+            calls = []
 
-        def clock():
-            # one call sets the deadline, then one per search node; the
-            # 30th node sees the deadline expired
-            calls.append(state.trail.size)
-            return 0.0 if len(calls) < 31 else 1e9
+            def clock():
+                # one call sets the deadline, then one per search node; the
+                # 30th node sees the deadline expired
+                calls.append(state.trail.size)
+                return 0.0 if len(calls) < 31 else 1e9
 
-        monkeypatch.setattr(dpllsat.search, "time",
-                            SimpleNamespace(monotonic=clock))
-        with pytest.raises(TimeLimitReached):
-            solve(state, time_limit=1.0)
-        monkeypatch.undo()
-        assert calls[-1] > 0  # the deadline struck with layers open
-        assert state.snapshot() == before
-        assert check_state_invariants(state)
-        result = solve(state)
-        assert result.verdict == "SAT"
-        assert check_model(formula, result.model)
-        assert state.snapshot() == before
+            with monkeypatch.context() as patch:
+                patch.setattr(dpllsat.search, "time",
+                              SimpleNamespace(monotonic=clock))
+                result = solve(state, time_limit=1.0)
+            assert result.verdict == "UNKNOWN" and result.model is None
+            assert calls[-1] > 0  # the deadline struck with layers open
+            assert state.snapshot() == before
+            assert check_state_invariants(state)
+            result = solve(state)
+            assert result.verdict == "SAT"
+            assert check_model(formula, result.model)
+            assert state.snapshot() == before
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_expired_deadline_in_step_restores_state(self, checked):
         formula = generate_queens(4)
         state = build_state(formula, checked=checked)
         before = state.snapshot()
-        with pytest.raises(TimeLimitReached):
-            step(state, 1, True, deadline=time.monotonic() - 1)
+        result = step(state, 1, True, deadline=time.monotonic() - 1)
+        assert result.verdict == "UNKNOWN" and result.model is None
         assert state.snapshot() == before
         assert check_state_invariants(state)
         result = solve(state)
         assert result.verdict == "SAT"
         assert check_model(formula, result.model)
+
+    @pytest.mark.parametrize("formula", [generate_pigeonhole(4),
+                                         generate_queens(6), example1()],
+                             ids=["php4", "queens6", "example1"])
+    def test_timed_out_events_close_every_open_layer(self, formula,
+                                                     monkeypatch):
+        # the deadline expires at each node in turn, and then at none: the
+        # events up to that node are the full run's, then one backtrack
+        # per open layer
+        reference = Tracer(snapshot_assignments=True)
+        expected, _ = solve_formula(formula, tracer=reference)
+        nodes = 1 + sum(event[0] == "decide" for event in reference.events)
+        for deadline_node in range(1, nodes + 2):
+            state = build_state(formula)
+            state.tracer = Tracer(snapshot_assignments=True)
+            seen = []  # (events so far, trail size) per clock call
+
+            def clock():
+                seen.append((len(state.tracer.events), state.trail.size))
+                return 0.0 if len(seen) <= deadline_node else 1e9
+
+            with monkeypatch.context() as patch:
+                patch.setattr(dpllsat.search, "time",
+                              SimpleNamespace(monotonic=clock))
+                result = solve(state, time_limit=1.0)
+            events = state.tracer.events
+            if deadline_node <= nodes:
+                assert len(seen) == deadline_node + 1
+                count, size = seen[-1]
+                assert result.verdict == "UNKNOWN"
+                assert events[:count] == reference.events[:count]
+                assert events[count:] == [("backtrack", level)
+                                          for level in range(size - 1, -1,
+                                                             -1)]
+            else:  # no node saw the deadline expired
+                assert len(seen) == deadline_node
+                assert result == expected
+                assert events == reference.events
+            assert state.trail.size == 0
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_exception_from_tracer_restores_state(self, checked):

@@ -406,6 +406,20 @@ class TestStateInvariantChecker:
         s.pair_sum[0] -= 1         # clause 1 is not binary, its sum is 0
         assert not check_state_invariants(s)
 
+    @pytest.mark.parametrize("table", ["pair_sum", "occurrences"])
+    def test_table_corrupted_after_a_check_detected(self, table):
+        # the first check caches the tables' derivation from the formula;
+        # a change made in place after it still differs from that cache
+        s = fresh_example1_state()
+        assert check_state_invariants(s)
+        if table == "pair_sum":
+            s.pair_sum[1] += 1     # clause 2 is (-1, -2), its sum is -3
+        else:
+            s.occurrences[1].append(1)  # clause 2 does not hold x1
+        assert not check_state_invariants(s)
+        with pytest.raises(ContractError, match="invariants violated"):
+            s.assert_valid()
+
     def test_corrupted_literal_flag_detected(self):
         s = fresh_example1_state()
         s.literal_is_true[1] = 1   # x1 flagged true, but not on the trail
