@@ -37,6 +37,11 @@ class SolveResult:
         return {True: "SAT", False: "UNSAT", None: "UNKNOWN"}[self.satisfiable]
 
 
+# frozen, so every conflict and every deadline can share one instance
+_UNSAT = SolveResult(False)
+_UNKNOWN = SolveResult(None)
+
+
 class Tracer:
     """Collects search events for golden-trace and lemma-level tests.
 
@@ -125,9 +130,9 @@ def _search(state, deadline, start):
             require(has_empty_clause(state) == any_fully_false(state),
                     "the recorded conflict disagrees with a full scan")
         if deadline is not None and time.monotonic() >= deadline:
-            result = SolveResult(None)
+            result = _UNKNOWN
         elif has_empty_clause(state):
-            result = SolveResult(False)
+            result = _UNSAT
         else:
             start = first_open_clause(state, start)
             if start is not None:
@@ -143,7 +148,7 @@ def _search(state, deadline, start):
         while frames:
             literal, start, on_false_branch, before = frames.pop()
             _backtrack(state, before)
-            if result.satisfiable is not False:
+            if result is not _UNSAT:
                 continue
             if not on_false_branch:
                 frames.append((literal, start, True, before))

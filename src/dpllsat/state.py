@@ -1,5 +1,5 @@
 """Mutable search state: the trail, the conflict field, occurrence lists
-and the binary clauses' literal sums.
+and the per-clause table that marks binary and ternary clauses.
 
 The trail owns the assignment: it stores the literals in push order and
 one flag per signed literal, `literal_is_true`, which it clears on a pop;
@@ -13,11 +13,12 @@ count per clause, and every clause holding a literal pays an update when
 the literal is assigned and again when it is unassigned (Chaff, Moskewicz
 et al., DAC 2001).  Here `set_literal` makes a literal true, then reads
 each clause holding the negation of a queued literal against the flags; undo
-clears the flags in the trail's pop and rolls back nothing else.  A
-binary clause `(a, b)` needs no scan: `pair_sum[index]` holds `a + b`, so
-the other literal of a false one is the sum minus it.  A normalized
-binary clause is never a tautology, so its sum is never 0; every other
-clause holds 0 and is scanned.
+clears the flags in the trail's pop and rolls back nothing else.  Short
+clauses need no loop: for a binary clause `(a, b)`, `pair_sum[index]`
+holds `a + b`, so the other literal of a false one is the sum minus it; a
+ternary clause's entry is None, and its two other literals are unpacked
+directly.  A normalized binary clause is never a tautology, so its sum is
+never 0; every longer clause holds 0 and is scanned.
 
 `conflict`, the O(1) conflict test, is the index of a fully-false clause
 or None: propagation records the clause where it finds it and
@@ -50,14 +51,23 @@ def occurrence_lists(formula):
 
 
 def pair_sums(clauses):
-    """`a + b` per binary clause `(a, b)`, 0 per other clause."""
-    return [clause[0] + clause[1] if len(clause) == 2 else 0
-            for clause in clauses]
+    """`a + b` per binary clause `(a, b)`, None per ternary clause, 0 per
+    other clause.  None marks the clauses that propagation reads without a
+    loop; it is one shared object, so the table costs no more memory."""
+    sums = []
+    for clause in clauses:
+        length = len(clause)
+        sums.append(clause[0] + clause[1] if length == 2
+                    else None if length == 3 else 0)
+    return sums
 
 
 def _fully_false(is_true, clause):
     """True iff every literal of the clause is false."""
-    return all(is_true[-literal] for literal in clause)
+    for literal in clause:
+        if not is_true[-literal]:
+            return False
+    return True
 
 
 class SolverState:
@@ -167,6 +177,20 @@ def set_literal(state, literal, value):
                     continue
                 if is_true[-other]:
                     other = 0
+            elif other is None:  # a ternary clause: its two other literals
+                a, b, c = clauses[index]
+                if a == false:
+                    a = c
+                elif b == false:
+                    b = c
+                if is_true[a] or is_true[b]:
+                    continue
+                if is_true[-a]:
+                    other = 0 if is_true[-b] else b
+                elif is_true[-b]:
+                    other = a
+                else:
+                    continue
             else:  # find the one literal that is not false, if only one is
                 for candidate in clauses[index]:
                     if not is_true[-candidate]:
@@ -205,6 +229,9 @@ def unset_variable(state, literal):
     """Finish undoing set_variable for a literal that the caller has popped
     from the trail.  The search does not call it: it undoes whole layers
     with undo_last_layer."""
+    if (type(literal) is not int
+            or not 0 < abs(literal) <= state.formula.variables_count):
+        raise ContractError("literal %r out of range" % (literal,))
     if state.literal_is_true[literal]:
         raise ContractError("literal %d is still on the trail" % literal)
     _clear_stale_conflict(state)
@@ -242,7 +269,7 @@ def first_open_clause(state, start=0):
     """
     is_true = state.literal_is_true
     clauses = state.formula.clauses
-    if not 0 <= start <= len(clauses):
+    if type(start) is not int or not 0 <= start <= len(clauses):
         raise ContractError("clause cursor %r out of range" % (start,))
     if state.checked:
         require(_first_open(is_true, clauses, 0, start) is None,

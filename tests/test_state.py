@@ -46,7 +46,8 @@ class TestBuildState:
     def test_all_counters_zero(self):
         s = fresh_example1_state()
         assert s.literal_is_true == bytearray(2 * 7 + 1)
-        assert s.pair_sum == [0, -3, -1, 0, 0]  # (-1, -2) and (2, -3)
+        # (-1, -2) and (2, -3) hold their sums; the ternary clauses None
+        assert s.pair_sum == [None, -3, -1, None, None]
         assert false_counts(s) == [0] * 5
         assert s.conflict is None
         assert s.truth_assignment == [UNSET] * 7
@@ -233,6 +234,19 @@ class TestUnsetVariable:
         assert s.snapshot() == before
         assert check_state_invariants(s)
 
+    @pytest.mark.parametrize("literal", [-5, 5, 7, 0, True],
+                             ids=["-5", "5", "7", "0", "True"])
+    def test_literal_out_of_range_rejected(self, literal):
+        # 2n+1 flag slots for n = 3: -5 and 5 would read the slots of
+        # other literals, and 7 lies past the end
+        s = build_state(build_formula(3, [[1, 2, 3], [-1, -2]]))
+        s.trail.new_layer()
+        set_variable(s, 1, False)
+        before = s.snapshot()
+        with pytest.raises(ContractError, match="literal .* out of range"):
+            unset_variable(s, literal)
+        assert s.snapshot() == before
+
     def test_undo_last_layer_after_several_sets_restores_snapshot(self):
         s = fresh_example1_state()
         s.trail.new_layer()
@@ -391,6 +405,13 @@ class TestFirstOpenClause:
         assert first_open_clause(s, 2) is None
 
 
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_a_cursor_that_is_not_an_int_is_rejected(self, checked):
+        s = fresh_example1_state(checked=checked)
+        with pytest.raises(ContractError, match="out of range"):
+            first_open_clause(s, 1.0)
+
+
 class TestStateInvariantChecker:
     def test_holds_after_public_operations(self):
         s = fresh_example1_state()
@@ -403,7 +424,7 @@ class TestStateInvariantChecker:
 
     def test_corrupted_counter_detected(self):
         s = fresh_example1_state()
-        s.pair_sum[0] -= 1         # clause 1 is not binary, its sum is 0
+        s.pair_sum[0] = 0          # clause 1 is ternary, its entry is None
         assert not check_state_invariants(s)
 
     @pytest.mark.parametrize("table", ["pair_sum", "occurrences"])
