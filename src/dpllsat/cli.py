@@ -1,8 +1,8 @@
 """Command-line front end and benchmark instance generators.
 
-Output and exit codes follow the SAT-competition convention:
-`s SATISFIABLE` with `v` model lines and exit 10, `s UNSATISFIABLE` and exit
-20, `s UNKNOWN` and exit 0 on timeout, exit 1 on input errors.
+Output and exit codes follow the SAT-competition convention: `s SATISFIABLE`
+with `v` model lines and exit 10, `s UNSATISFIABLE` and exit 20, `s UNKNOWN`
+and exit 0 on timeout, exit 1 on input errors, 130 with no traceback on Ctrl-C.
 """
 
 import argparse
@@ -21,6 +21,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 EXIT_ERROR = 1
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def generate_pigeonhole(holes):
@@ -239,6 +240,9 @@ def entry():
         # point it at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_ERROR
+    except KeyboardInterrupt:
+        sys.stdout.flush()  # keep what was printed, such as --trace lines
+        code = EXIT_INTERRUPTED
     sys.exit(code)
 
 

@@ -12,14 +12,11 @@ frame keeps that index for both children.  A true literal stays true
 while the trail grows, so a root-to-leaf path scans each clause at most
 once.
 
-Each decision is one call of `state.set_literal`, the paper's
-write-and-propagate operation: it writes the decision with
-`Trail.push_entry`, the one checked write, then, like MiniSat's
-`propagate`, enqueues each literal it forces where it finds it.
+`solve` and `step` snapshot the state on entry and restore it from that
+snapshot on any exception, a KeyboardInterrupt too.
 """
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
@@ -99,8 +96,6 @@ def _decide(state, literal, value):
     if state.tracer is not None:
         state.tracer.emit(("decide", abs(literal) - 1,
                            value if literal > 0 else not value))
-    # the layer is opened just before its first entry, so an exception
-    # never leaves an empty layer on the trail for _unwinding to pop
     state.trail.new_layer()
     set_literal(state, literal, value)
 
@@ -160,17 +155,16 @@ def _search(state, deadline, start):
             return result
 
 
-@contextmanager
-def _unwinding(state):
-    """Undo every layer opened inside the block if it raises an Exception;
-    see solve for why other exceptions are not unwound."""
-    layers = state.trail.size
-    try:
-        yield
-    except Exception:
-        while state.trail.size > layers:
-            undo_last_layer(state)
-        raise
+def _restore(state, snapshot):
+    """Cut the trail back to an entry `snapshot` and copy its conflict and
+    all its flags back: an exception can strike between two writes."""
+    layers, length, flags, conflict = snapshot
+    del state.trail.starts[layers:]
+    del state.trail.assignments[length:]
+    state.trail.is_true[:] = flags
+    state.conflict = conflict
+    if state.checked:
+        state.assert_valid()
 
 
 def step(state, literal, value, deadline=None):
@@ -178,20 +172,17 @@ def step(state, literal, value, deadline=None):
 
     Returns the verdict below the decision, UNKNOWN once the monotonic
     `deadline` passes, with the state restored exactly, also when it
-    raises (see solve).  A non-int or out-of-range literal, or one already
-    set, raises ContractError before any layer is opened.
+    raises (see solve).  A literal that is not an int in range, or is set,
+    raises ContractError, after its `decide` event if a tracer is attached.
     """
-    require(type(literal) is int
-            and 0 < abs(literal) <= state.formula.variables_count,
-            "literal %r out of range" % (literal,))
-    is_true = state.literal_is_true
-    require(not (is_true[literal] or is_true[-literal]),
-            "literal %d is already set" % literal)
-    before = state.snapshot() if state.checked else None
-    with _unwinding(state):
+    entry = state.snapshot()
+    try:
         _decide(state, literal, value)
         result = _search(state, deadline, 0)
-        _backtrack(state, before)
+        _backtrack(state, entry if state.checked else None)
+    except BaseException:
+        _restore(state, entry)
+        raise
     return result
 
 
@@ -200,14 +191,16 @@ def solve(state, time_limit=None):
 
     Returns SolveResult, UNKNOWN if the optional time limit (seconds)
     expires first.  The state is left exactly as it was on entry on every
-    return; if the search or its tracer raises, every trail layer the search
-    opened is undone before the exception propagates.  KeyboardInterrupt
-    and other asynchronous interrupts can strike between the writes of an
-    assignment, so they are not unwound and the state must be rebuilt.
+    return, and on every exception: one raised by the search or its tracer,
+    and KeyboardInterrupt or another asynchronous one, wherever it strikes.
     """
     deadline = None
     if time_limit is not None:
         require(time_limit > 0, "time limit must be positive")
         deadline = time.monotonic() + time_limit
-    with _unwinding(state):
+    entry = state.snapshot()
+    try:
         return _search(state, deadline, 0)
+    except BaseException:
+        _restore(state, entry)
+        raise

@@ -112,8 +112,9 @@ class SolverState:
             raise ContractError("solver state invariants violated")
 
     def snapshot(self):
-        """Cheap copy of the observable state, for restoration checks."""
-        return (self.trail.size, bytes(self.literal_is_true), self.conflict)
+        """(layers, trail length, flags, conflict), to restore and compare."""
+        return (self.trail.size, len(self.trail), bytes(self.literal_is_true),
+                self.conflict)
 
 
 def build_state(formula, checked=False):
@@ -125,6 +126,8 @@ def set_variable(state, variable, value):
     """Assign one variable on the current trail layer, with no propagation.
     With no conflict recorded, a clause that this makes fully false is
     recorded as the conflict."""
+    if type(variable) not in (int, float):  # True would write x2
+        raise ContractError("variable %r out of range" % (variable,))
     literal = variable + 1 if value else -variable - 1
     if variable < 0:  # -2 would map onto -1, a literal in range
         raise ContractError("literal %r out of range" % (literal,))
@@ -141,15 +144,14 @@ def set_variable(state, variable, value):
 
 def set_literal(state, literal, value):
     """Make `literal` evaluate to `value` on the current layer, then
-    unit-propagate to quiescence.
+    unit-propagate to quiescence: the paper's write-and-propagate call.
 
     The trail from the written literal on is the queue, read from `head`.
     For each queued literal the clauses holding its negation are visited in
     index order: a fully false one ends propagation and is recorded as the
     conflict if none is, and a unit one forces its unset literal, which is
-    written here and queued.  No open layer, a literal that is not an int
-    in range, or one already set raise ContractError before anything
-    changes: the range is checked here, so that its message names
+    written here and queued.  A rejected write raises ContractError before
+    anything changes: the range is checked here, so that its message names
     `literal`, not -literal, and the rest by `Trail.push_entry`.
     """
     if (type(literal) is not int

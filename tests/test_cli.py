@@ -14,9 +14,9 @@ import pytest
 import dpllsat.cli
 import dpllsat.search
 from dpllsat import brute_force, check_model, parse_dimacs, solve, to_dimacs
-from dpllsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
-                         _write_model, generate_pigeonhole, generate_queens,
-                         main)
+from dpllsat.cli import (EXIT_ERROR, EXIT_INTERRUPTED, EXIT_SAT,
+                         EXIT_UNKNOWN, EXIT_UNSAT, _write_model, entry,
+                         generate_pigeonhole, generate_queens, main)
 from helpers import EXAMPLE1_DIMACS, example1
 
 
@@ -352,6 +352,20 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
         process.stderr.close()
     assert "Traceback" not in err.decode()
     assert code == EXIT_ERROR
+
+
+def test_ctrl_c_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted():
+        print("c decide x1=T")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dpllsat.cli, "main", interrupted)
+    with pytest.raises(SystemExit) as raised:
+        entry()
+    assert raised.value.code == EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == "c decide x1=T\n"
+    assert "Traceback" not in captured.err
 
 
 ONE_TO_20 = " ".join(map(str, range(1, 21)))

@@ -10,7 +10,7 @@ from dpllsat import (TRUE, UNSET, ContractError, SolverState, Tracer,
                      brute_force, build_formula, build_state, check_model,
                      check_state_invariants, choose_literal, complete_model,
                      is_formula_satisfied, is_satisfiable_extend, set_literal,
-                     solve, step)
+                     set_variable, solve, step)
 from dpllsat.cli import generate_pigeonhole, generate_queens
 from helpers import example1, make_rng, random_formula, solve_formula
 
@@ -39,6 +39,19 @@ class TestChooseLiteral:
         s.trail.new_layer()
         set_literal(s, 1, True)
         with pytest.raises(ContractError):
+            choose_literal(s)
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_rejects_a_recorded_conflict(self, checked):
+        # clause 0 is open with x1 unset, and clause 1 above it is fully
+        # false; without the check, x1 would be returned
+        s = build_state(build_formula(4, [[1, 2], [3, 4]]), checked=checked)
+        s.trail.new_layer()
+        set_variable(s, 2, False)
+        set_variable(s, 3, False)
+        assert s.conflict == 1
+        with pytest.raises(ContractError,
+                           match="^conflict present, nothing to decide$"):
             choose_literal(s)
 
 
@@ -187,10 +200,14 @@ class TestStep:
             s.trail.new_layer()
             set_literal(s, 1, True)  # x1 true, x2 still unset
             before = s.snapshot()
+            s.tracer = Tracer()
             with pytest.raises(ContractError) as raised:
                 step(s, literal, True)
             assert str(raised.value) == message
             assert s.trail.size == 1
+            # the decision's event was emitted before the write rejected it
+            assert s.tracer.events == [("decide", abs(literal) - 1,
+                                        literal > 0)]
             assert step(s, 2, True).satisfiable
             assert s.snapshot() == before
 
@@ -214,6 +231,16 @@ class TestSolve:
         result, _ = solve_formula(build_formula(2, [[1, 2], [-1], [-2]]))
         assert not result.satisfiable
         assert result.model is None
+
+    @pytest.mark.parametrize("time_limit", [0, -1])
+    def test_time_limit_that_is_not_positive_rejected(self, time_limit):
+        # without the check, the deadline would already be past: UNKNOWN
+        s = build_state(example1())
+        before = s.snapshot()
+        with pytest.raises(ContractError,
+                           match="^time limit must be positive$"):
+            solve(s, time_limit=time_limit)
+        assert s.snapshot() == before
 
 
 class TestCompleteModel:

@@ -161,6 +161,7 @@ WRITES = {"set_variable": set_variable, "set_literal": set_literal,
     ("set_literal", True, (True, False), "literal True out of range"),
     ("set_literal", True, (1.0, True), "literal 1.0 out of range"),
     ("set_variable", True, (1.0, True), "literal 2.0 out of range"),
+    ("set_variable", True, (True, True), "variable True out of range"),
 ])
 @pytest.mark.parametrize("checked", [False, True])
 def test_rejected_write_changes_nothing(write, layer, args, message, checked):
