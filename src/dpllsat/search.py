@@ -12,8 +12,8 @@ frame keeps that index for both children.  A true literal stays true
 while the trail grows, so a root-to-leaf path scans each clause at most
 once.
 
-`solve` and `step` snapshot the state on entry and restore it from that
-snapshot on any exception, a KeyboardInterrupt too.
+`solve` and `step` take `state.snapshot()` on entry and hand it back to
+`state.restore` on any exception, a KeyboardInterrupt too.
 """
 
 import time
@@ -78,7 +78,7 @@ def choose_literal(state, start=0):
     require(not has_empty_clause(state), "conflict present, nothing to decide")
     index = first_open_clause(state, start)
     if index is not None:
-        is_true = state.literal_is_true
+        is_true = state.trail.is_true
         # open and not fully false, so a literal that is not false is unset
         for literal in state.formula.clauses[index]:
             if not is_true[-literal]:
@@ -96,7 +96,11 @@ def _decide(state, literal, value):
     if state.tracer is not None:
         state.tracer.emit(("decide", abs(literal) - 1,
                            value if literal > 0 else not value))
-    state.trail.new_layer()
+    trail = state.trail
+    # on a trail with every variable set, set_literal rejects the literal by
+    # name, where opening a layer would only say that the trail is full
+    if len(trail.assignments) < trail.variables_count:
+        trail.new_layer()
     set_literal(state, literal, value)
 
 
@@ -155,18 +159,6 @@ def _search(state, deadline, start):
             return result
 
 
-def _restore(state, snapshot):
-    """Cut the trail back to an entry `snapshot` and copy its conflict and
-    all its flags back: an exception can strike between two writes."""
-    layers, length, flags, conflict = snapshot
-    del state.trail.starts[layers:]
-    del state.trail.assignments[length:]
-    state.trail.is_true[:] = flags
-    state.conflict = conflict
-    if state.checked:
-        state.assert_valid()
-
-
 def step(state, literal, value, deadline=None):
     """One decision: new layer, set the literal, search below it, undo.
 
@@ -181,7 +173,7 @@ def step(state, literal, value, deadline=None):
         result = _search(state, deadline, 0)
         _backtrack(state, entry if state.checked else None)
     except BaseException:
-        _restore(state, entry)
+        state.restore(entry)
         raise
     return result
 
@@ -202,5 +194,5 @@ def solve(state, time_limit=None):
     try:
         return _search(state, deadline, 0)
     except BaseException:
-        _restore(state, entry)
+        state.restore(entry)
         raise

@@ -2,11 +2,13 @@
 and the per-clause table that marks binary and ternary clauses.
 
 The trail owns the assignment: it stores the literals in push order and
-one flag per signed literal, `literal_is_true`, which it clears on a pop;
+one flag per signed literal, `trail.is_true`, which it clears on a pop;
 `unset_count` is derived from its length and `truth_assignment` from the
-flags.  `occurrences[literal]` lists the clauses that contain a literal,
-and like the flags it is indexed directly by the signed code.  Every write
-but a forced one goes through `Trail.push_entry`, the one checked write.
+flags, and `snapshot` and `restore` save and bring back the trail and the
+conflict, all that a search writes.  `occurrences[literal]` lists the
+clauses that contain a literal, and like the flags it is indexed directly
+by the signed code.  Every write but a forced one goes through
+`Trail.push_entry`, the one checked write.
 
 No clause keeps a counter.  The paper's solver keeps a true and a false
 count per clause, and every clause holding a literal pays an update when
@@ -84,7 +86,6 @@ class SolverState:
         self.formula = formula
         self.checked = checked
         self.trail = Trail(formula.variables_count)
-        self.literal_is_true = self.trail.is_true  # by signed literal
         self.pair_sum = pair_sums(formula.clauses)  # read-only
         self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
@@ -103,7 +104,7 @@ class SolverState:
         """UNSET, FALSE or TRUE per variable, as a new list built from the
         literal flags.  O(n), so the search reads it only at a SAT leaf and
         for trace snapshots; hot paths read the flags."""
-        is_true = self.literal_is_true
+        is_true = self.trail.is_true
         return [TRUE if is_true[v] else FALSE if is_true[-v] else UNSET
                 for v in range(1, self.formula.variables_count + 1)]
 
@@ -113,8 +114,21 @@ class SolverState:
 
     def snapshot(self):
         """(layers, trail length, flags, conflict), to restore and compare."""
-        return (self.trail.size, len(self.trail), bytes(self.literal_is_true),
-                self.conflict)
+        trail = self.trail
+        return (trail.size, len(trail), bytes(trail.is_true), self.conflict)
+
+    def restore(self, snapshot):
+        """Cut the trail back to a `snapshot` taken before it grew, then copy
+        all its flags and its conflict back: an exception can strike between
+        two writes.  Checked mode then asserts every invariant."""
+        layers, length, flags, conflict = snapshot
+        trail = self.trail
+        del trail.starts[layers:]
+        del trail.assignments[length:]
+        trail.is_true[:] = flags
+        self.conflict = conflict
+        if self.checked:
+            self.assert_valid()
 
 
 def build_state(formula, checked=False):
@@ -133,7 +147,7 @@ def set_variable(state, variable, value):
         raise ContractError("literal %r out of range" % (literal,))
     state.trail.push_entry(literal)
     if state.conflict is None:
-        is_true = state.literal_is_true
+        is_true = state.trail.is_true
         clauses = state.formula.clauses
         state.conflict = next((index for index in state.occurrences[-literal]
                                if _fully_false(is_true, clauses[index])),
@@ -166,7 +180,7 @@ def set_literal(state, literal, value):
     occurrences = state.occurrences
     clauses = state.formula.clauses
     pair_sum = state.pair_sum
-    is_true = state.literal_is_true
+    is_true = state.trail.is_true
     checked = state.checked
     while head < len(assignments):
         false = -assignments[head]
@@ -221,7 +235,7 @@ def _clear_stale_conflict(state):
     fully false."""
     conflict = state.conflict
     if conflict is not None and not _fully_false(
-            state.literal_is_true, state.formula.clauses[conflict]):
+            state.trail.is_true, state.formula.clauses[conflict]):
         state.conflict = None
     if state.checked:
         state.assert_valid()
@@ -234,7 +248,7 @@ def unset_variable(state, literal):
     if (type(literal) is not int
             or not 0 < abs(literal) <= state.formula.variables_count):
         raise ContractError("literal %r out of range" % (literal,))
-    if state.literal_is_true[literal]:
+    if state.trail.is_true[literal]:
         raise ContractError("literal %d is still on the trail" % literal)
     _clear_stale_conflict(state)
 
@@ -269,7 +283,7 @@ def first_open_clause(state, start=0):
     returns at a search node is a valid start for every node below it.
     Checked mode asserts that no clause below start is open.
     """
-    is_true = state.literal_is_true
+    is_true = state.trail.is_true
     clauses = state.formula.clauses
     if type(start) is not int or not 0 <= start <= len(clauses):
         raise ContractError("clause cursor %r out of range" % (start,))
@@ -286,7 +300,7 @@ def is_formula_satisfied(state):
 
 def any_fully_false(state):
     """True iff some clause is fully false, by a scan of every clause."""
-    is_true = state.literal_is_true
+    is_true = state.trail.is_true
     return any(_fully_false(is_true, clause)
                for clause in state.formula.clauses)
 
@@ -294,8 +308,8 @@ def any_fully_false(state):
 def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
-    Covers the trail invariants, which include its literal flags, the
-    state's flags being the trail's, the binary clauses' sums, the conflict
+    Covers the trail invariants, which include its literal flags, their
+    length against the formula's, the binary clauses' sums, the conflict
     naming a fully-false clause, and the occurrence lists.  The first call
     derives the sums and lists from the formula and caches them on the
     state; each call compares the state's tables with them.  Returns a bool.
@@ -304,9 +318,8 @@ def check_state_invariants(state):
     clauses = formula.clauses
     if not check_trail_invariants(state.trail):
         return False
-    is_true = state.literal_is_true
-    if (is_true is not state.trail.is_true
-            or len(is_true) != 2 * formula.variables_count + 1):
+    is_true = state.trail.is_true
+    if len(is_true) != 2 * formula.variables_count + 1:
         return False
     if state._derived_tables is None:
         state._derived_tables = (pair_sums(clauses), occurrence_lists(formula))

@@ -80,13 +80,6 @@ class Trail:
             is_true[literal] = 0
         return literals
 
-    def layer(self, i):
-        """Literals of open layer i, in push order."""
-        starts = self.starts
-        require(0 <= i < len(starts), "no open layer %r" % (i,))
-        end = starts[i + 1] if i + 1 < len(starts) else len(self.assignments)
-        return self.assignments[starts[i]:end]
-
     def __len__(self):
         return len(self.assignments)
 

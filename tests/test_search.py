@@ -60,7 +60,7 @@ class TestSetLiteral:
         s = build_state(example1())
         s.trail.new_layer()
         set_literal(s, 1, True)
-        assert s.trail.layer(0) == [1, -2, -3]
+        assert s.trail.assignments == [1, -2, -3]
 
     def test_no_propagation_when_nothing_is_unit(self):
         s = build_state(example1())
@@ -68,7 +68,8 @@ class TestSetLiteral:
         set_literal(s, 1, True)
         s.trail.new_layer()
         set_literal(s, 4, True)
-        assert s.trail.layer(1) == [4]
+        assert s.trail.assignments == [1, -2, -3, 4]
+        assert s.trail.starts == [0, 3]
 
     def test_propagation_reaches_satisfying_assignment(self):
         f = build_formula(2, [[1, 2], [-1, 2]])
@@ -124,7 +125,7 @@ class TestSetLiteral:
 
         def recording(state, literal, value):
             original(state, literal, value)
-            layers.append(state.trail.layer(state.trail.size - 1))
+            layers.append(state.trail.assignments[state.trail.starts[-1]:])
 
         monkeypatch.setattr(dpllsat.search, "set_literal", recording)
         rng = make_rng(1212)
@@ -209,6 +210,24 @@ class TestStep:
             assert s.tracer.events == [("decide", abs(literal) - 1,
                                         literal > 0)]
             assert step(s, 2, True).satisfiable
+            assert s.snapshot() == before
+
+    @pytest.mark.parametrize("literal, message",
+                             [(1, "literal 1 is already set"),
+                              (2, "literal 2 out of range")],
+                             ids=["already_set", "out_of_range"])
+    def test_rejected_literal_on_a_full_trail(self, literal, message):
+        # every variable is set, so no layer can open: the literal is named
+        for checked in (False, True):
+            s = build_state(build_formula(1, [[1]]), checked=checked)
+            s.trail.new_layer()
+            set_literal(s, 1, True)
+            before = s.snapshot()
+            s.tracer = Tracer()
+            with pytest.raises(ContractError) as raised:
+                step(s, literal, True)
+            assert str(raised.value) == message
+            assert s.tracer.events == [("decide", literal - 1, True)]
             assert s.snapshot() == before
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllsat import (FALSE, TRUE, UNSET, ContractError, build_formula,
-                     build_state, check_state_invariants, choose_literal,
-                     first_open_clause, has_empty_clause,
+import dpllsat.state
+from dpllsat import (FALSE, TRUE, UNSET, ContractError, Trail,
+                     build_formula, build_state, check_state_invariants,
+                     choose_literal, first_open_clause, has_empty_clause,
                      is_formula_satisfied, is_satisfiable_extend,
                      parse_dimacs, set_literal, set_variable, solve,
                      undo_last_layer)
@@ -20,14 +21,14 @@ def fresh_example1_state(checked=False):
 
 def true_counts(s):
     """True literals per clause, counted from the literal flags."""
-    return [sum(s.literal_is_true[literal] for literal in clause)
+    return [sum(s.trail.is_true[literal] for literal in clause)
             for clause in s.formula.clauses]
 
 
 def false_counts(s):
     """False literals per clause, the paper's falseLiteralsCount, counted
     from the literal flags."""
-    return [sum(s.literal_is_true[-literal] for literal in clause)
+    return [sum(s.trail.is_true[-literal] for literal in clause)
             for clause in s.formula.clauses]
 
 
@@ -45,7 +46,7 @@ class TestBuildState:
 
     def test_all_counters_zero(self):
         s = fresh_example1_state()
-        assert s.literal_is_true == bytearray(2 * 7 + 1)
+        assert s.trail.is_true == bytearray(2 * 7 + 1)
         # (-1, -2) and (2, -3) hold their sums; the ternary clauses None
         assert s.pair_sum == [None, -3, -1, None, None]
         assert false_counts(s) == [0] * 5
@@ -97,13 +98,24 @@ class TestBuildState:
         with pytest.raises(ContractError):
             build_state(f)
 
+    def test_checked_build_rejects_a_malformed_trail(self, monkeypatch):
+        class ShortFlags(Trail):
+            def __init__(self, variables_count):
+                super().__init__(variables_count)
+                del self.is_true[-1]  # one byte short of 2n+1
+
+        monkeypatch.setattr(dpllsat.state, "Trail", ShortFlags)
+        build_state(example1())  # unchecked: nothing looks at the flags
+        with pytest.raises(ContractError, match="invariants violated"):
+            build_state(example1(), checked=True)
+
 
 class TestSetVariable:
     def test_fig2_first_assignment(self):
         s = fresh_example1_state(checked=True)
         s.trail.new_layer()
         set_variable(s, 0, True)  # x1 := true
-        assert s.literal_is_true[1] and not s.literal_is_true[-1]
+        assert s.trail.is_true[1] and not s.trail.is_true[-1]
         assert true_counts(s) == [1, 0, 0, 0, 0]
         assert false_counts(s)[1] == 1  # clause 2 holds -x1
 
@@ -113,7 +125,7 @@ class TestSetVariable:
         set_variable(s, 0, True)
         set_variable(s, 1, False)  # x2 := false
         assert false_counts(s)[0] == 1
-        assert s.literal_is_true[-2] and not s.literal_is_true[2]
+        assert s.trail.is_true[-2] and not s.trail.is_true[2]
         assert true_counts(s)[1] == 1          # -x2 true in clause 2
         assert false_counts(s)[2] == 1         # clause 3 holds x2
         assert false_counts(s)[3] == 1         # clause 4 holds x2
@@ -124,6 +136,13 @@ class TestSetVariable:
         set_variable(s, 0, True)
         with pytest.raises(ContractError):
             set_variable(s, 0, False)
+
+    def test_checked_write_rejects_a_flag_off_the_trail(self):
+        s = fresh_example1_state(checked=True)
+        s.trail.new_layer()
+        s.trail.is_true[7] = 1  # x7 flagged true, but not on the trail
+        with pytest.raises(ContractError, match="invariants violated"):
+            set_variable(s, 0, True)
 
     def test_decrements_unset_count(self):
         s = fresh_example1_state()
@@ -185,16 +204,16 @@ class TestUnsetVariable:
         assert true_counts(s) == [0, 0, 0, 1, 1]
         undo_last_layer(s)
         assert true_counts(s) == [0, 0, 0, 0, 0]
-        assert not s.literal_is_true[5]
+        assert not s.trail.is_true[5]
 
     def test_set_then_unset_restores_counters(self):
         s = fresh_example1_state()
         snapshot_before = s.snapshot()
         s.trail.new_layer()
-        flags_before = bytes(s.literal_is_true)
+        flags_before = bytes(s.trail.is_true)
         set_variable(s, 1, False)
         undo_last_layer(s)
-        assert s.literal_is_true == flags_before
+        assert s.trail.is_true == flags_before
         assert s.conflict is None
         assert s.snapshot() == snapshot_before
         assert s.truth_assignment[1] == UNSET
@@ -261,17 +280,29 @@ class TestUnsetVariable:
         assert check_state_invariants(s)
 
 
+class TestRestore:
+    def test_checked_restore_rejects_a_snapshot_of_a_longer_trail(self):
+        # the snapshot's flags name x1, which the cut trail no longer holds
+        s = fresh_example1_state(checked=True)
+        s.trail.new_layer()
+        set_variable(s, 0, True)
+        later = s.snapshot()
+        undo_last_layer(s)
+        with pytest.raises(ContractError, match="invariants violated"):
+            s.restore(later)
+
+
 class TestTruthAssignment:
     def test_mutating_the_list_changes_nothing(self):
         s = fresh_example1_state()
         s.trail.new_layer()
         set_variable(s, 0, True)
         before = s.snapshot()
-        flags = bytes(s.literal_is_true)
+        flags = bytes(s.trail.is_true)
         tau = s.truth_assignment
         tau[0], tau[1] = FALSE, TRUE
         assert s.snapshot() == before
-        assert s.literal_is_true == flags
+        assert s.trail.is_true == flags
         assert s.truth_assignment == [TRUE] + [UNSET] * 6
 
     def test_read_only(self):
@@ -444,20 +475,17 @@ class TestStateInvariantChecker:
 
     def test_corrupted_literal_flag_detected(self):
         s = fresh_example1_state()
-        s.literal_is_true[1] = 1   # x1 flagged true, but not on the trail
+        s.trail.is_true[1] = 1   # x1 flagged true, but not on the trail
         assert not check_state_invariants(s)
         s = fresh_example1_state()
         s.trail.new_layer()
         set_variable(s, 0, True)
-        s.literal_is_true[-1] = 1  # both polarities of x1 flagged true
+        s.trail.is_true[-1] = 1  # both polarities of x1 flagged true
         assert not check_state_invariants(s)
 
-    def test_flags_not_shared_with_the_trail_detected(self):
+    def test_trail_of_another_formula_size_detected(self):
         s = fresh_example1_state()
-        s.trail.new_layer()
-        set_variable(s, 0, True)
-        assert s.literal_is_true is s.trail.is_true
-        s.literal_is_true = bytearray(s.trail.is_true)  # equal, not the same
+        s.trail = Trail(8)  # a sound trail, but example1 has 7 variables
         assert not check_state_invariants(s)
 
     def test_corrupted_conflict_detected(self):
@@ -564,12 +592,12 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
     variable = unset[0]
     snapshot_before = s.snapshot()
     s.trail.new_layer()  # a layer of its own, so that undo reverts just it
-    flags_before = bytes(s.literal_is_true)
+    flags_before = bytes(s.trail.is_true)
     counts_before = false_counts(s)
     conflict_before = s.conflict
     set_variable(s, variable, value)
     literal = variable + 1 if value else -variable - 1
-    assert [i for i, (a, b) in enumerate(zip(s.literal_is_true,
+    assert [i for i, (a, b) in enumerate(zip(s.trail.is_true,
                                               flags_before)) if a != b] \
         == [literal % len(flags_before)]
     touched = set(s.occurrences[-literal])
@@ -577,7 +605,7 @@ def test_set_unset_is_exact_inverse_and_local(s, value):
         if index not in touched:
             assert false_counts(s)[index] == counts_before[index]
     undo_last_layer(s)
-    assert s.literal_is_true == flags_before
+    assert s.trail.is_true == flags_before
     assert false_counts(s) == counts_before
     assert s.conflict == conflict_before
     assert s.snapshot() == snapshot_before

@@ -20,12 +20,17 @@ def fig2_trail():
     return t
 
 
+def test_negative_variable_count_rejected():
+    with pytest.raises(ContractError, match="nonnegative"):
+        Trail(-1)
+
+
 class TestNewLayer:
     def test_first_layer(self):
         t = Trail(3)
         t.new_layer()
         assert t.size == 1
-        assert all(t.layer(i) == [] for i in range(t.size))
+        assert t.starts == [0] and t.assignments == []
 
     def test_existing_layers_unchanged(self):
         t = Trail(7)
@@ -35,8 +40,8 @@ class TestNewLayer:
         t.push_entry(-3)
         t.new_layer()
         assert t.size == 2
-        assert t.layer(0) == [1, -2, -3]
-        assert t.layer(1) == []
+        assert t.assignments == [1, -2, -3]
+        assert t.starts == [0, 3]
 
     def test_full_trail_rejected(self):
         t = Trail(2)
@@ -59,7 +64,7 @@ class TestPushEntry:
         t = Trail(7)
         t.new_layer()
         t.push_entry(1)
-        assert t.layer(0) == [1]
+        assert t.assignments == [1] and t.starts == [0]
 
     def test_push_order_preserved(self):
         t = Trail(7)
@@ -67,7 +72,7 @@ class TestPushEntry:
         t.push_entry(1)
         t.push_entry(-2)
         t.push_entry(-3)
-        assert t.layer(0) == [1, -2, -3]
+        assert t.assignments == [1, -2, -3] and t.starts == [0]
 
     def test_duplicate_variable_rejected(self):
         t = Trail(7)
@@ -98,8 +103,8 @@ class TestPopLayer:
         t = fig2_trail()
         assert t.pop_layer() == [5]
         assert t.size == 2
-        assert t.layer(0) == [1, -2, -3]
-        assert t.layer(1) == [4]
+        assert t.assignments == [1, -2, -3, 4]
+        assert t.starts == [0, 3]
 
     def test_pop_single_layer(self):
         t = Trail(7)
@@ -114,14 +119,21 @@ class TestPopLayer:
         with pytest.raises(ContractError):
             Trail(3).pop_layer()
 
+    def test_pop_empty_layer_rejected(self):
+        t = Trail(3)
+        t.new_layer()
+        with pytest.raises(ContractError, match="last layer is empty"):
+            t.pop_layer()
+        assert t.starts == [0]
+
     def test_pop_then_replay_restores_trail(self):
         t = fig2_trail()
-        before = [t.layer(i) for i in range(t.size)]
+        before = (list(t.assignments), list(t.starts))
         literals = t.pop_layer()
         t.new_layer()
         for literal in literals:
             t.push_entry(literal)
-        assert [t.layer(i) for i in range(t.size)] == before
+        assert (t.assignments, t.starts) == before
         assert check_trail_invariants(t)
 
 
@@ -135,6 +147,22 @@ class TestInvariants:
     def test_duplicate_variable_detected(self):
         t = fig2_trail()
         t.assignments.append(-1)  # x1 already in layer 0
+        assert not check_trail_invariants(t)
+
+    def test_variable_set_both_ways_detected(self):
+        # flags and entries agree, but x1 is on the trail twice
+        t = Trail(1)
+        t.new_layer()
+        t.push_entry(1)
+        t.assignments.append(-1)
+        t.is_true[-1] = 1
+        assert not check_trail_invariants(t)
+
+    def test_more_layers_than_variables_detected(self):
+        t = Trail(1)
+        t.new_layer()
+        t.push_entry(1)
+        t.starts.append(1)  # an empty second layer over one variable
         assert not check_trail_invariants(t)
 
     @pytest.mark.parametrize("entry", [0, 8, -8, (5, True)],
@@ -172,7 +200,7 @@ def test_invariants_hold_under_random_operations(data):
     steps = data.draw(st.integers(0, 30))
     for _ in range(steps):
         ops = []
-        current_nonempty = t.size > 0 and len(t.layer(t.size - 1)) > 0
+        current_nonempty = t.size > 0 and t.starts[-1] < len(t)
         if t.size < n and (t.size == 0 or current_nonempty):
             ops.append("new")
         if t.size > 0 and unused:
