@@ -7,8 +7,7 @@ from ._contracts import ContractError
 from .cnf import (CnfFormula, DimacsError, DimacsWarning, build_formula,
                   normalize_clause, parse_dimacs, to_dimacs)
 from .oracle import brute_force, check_model, is_satisfiable_extend
-from .search import (SolveResult, Tracer, choose_literal, complete_model,
-                     solve, step)
+from .search import SolveResult, Tracer, choose_literal, solve, step
 from .state import (FALSE, TRUE, UNSET, SolverState, build_state,
                     check_state_invariants, first_open_clause,
                     has_empty_clause, is_formula_satisfied, set_literal,
@@ -21,7 +20,7 @@ __all__ = [
     "FALSE", "TRUE", "UNSET",
     "brute_force", "build_formula", "build_state", "check_model",
     "check_state_invariants", "check_trail_invariants", "choose_literal",
-    "complete_model", "first_open_clause", "has_empty_clause",
+    "first_open_clause", "has_empty_clause",
     "is_formula_satisfied", "is_satisfiable_extend", "normalize_clause",
     "parse_dimacs", "set_literal", "set_variable", "solve", "step",
     "to_dimacs", "undo_last_layer",

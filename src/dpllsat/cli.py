@@ -72,38 +72,31 @@ def generate_queens(n):
     return build_formula(n * n, clauses)
 
 
-# the magic bytes that start a compressed stream, and its format's name
-_COMPRESSED = ((b"\x1f\x8b", "gzip"), (b"BZh", "bzip2"),
-               (b"\xfd7zXZ\x00", "xz"))
-
-
-def _decompressor(name):
-    """The decompress function of a format and what it raises on a damaged
-    stream.  Its module is imported only here, so plain input loads none."""
-    if name == "gzip":
-        import gzip
-        import zlib
-        return gzip.decompress, (OSError, EOFError, zlib.error)
-    if name == "bzip2":
-        import bz2
-        return bz2.decompress, (OSError, EOFError, ValueError)
-    import lzma
-    return lzma.decompress, (EOFError, lzma.LZMAError)
-
-
 def _decompressed(data):
     """The bytes of a gzip, bzip2 or xz stream, told apart by their magic
     bytes, decompressed; other data as it is.  A corrupt or truncated
-    stream raises DimacsError."""
-    for magic, name in _COMPRESSED:
-        if data.startswith(magic):
-            decompress, errors = _decompressor(name)
-            try:
-                return decompress(data)
-            except errors as exc:
-                raise DimacsError("corrupt %s input: %s"
-                                  % (name, exc)) from None
-    return data
+    stream raises DimacsError.  Each format's branch names its decompress
+    function and what it raises on a damaged stream, and imports its
+    module, so plain input loads none."""
+    if data.startswith(b"\x1f\x8b"):
+        import gzip
+        import zlib
+        name, decompress, errors = ("gzip", gzip.decompress,
+                                    (OSError, EOFError, zlib.error))
+    elif data.startswith(b"BZh"):
+        import bz2
+        name, decompress, errors = ("bzip2", bz2.decompress,
+                                    (OSError, EOFError, ValueError))
+    elif data.startswith(b"\xfd7zXZ\x00"):
+        import lzma
+        name, decompress, errors = ("xz", lzma.decompress,
+                                    (EOFError, lzma.LZMAError))
+    else:
+        return data
+    try:
+        return decompress(data)
+    except errors as exc:
+        raise DimacsError("corrupt %s input: %s" % (name, exc)) from None
 
 
 def _write_model(model, out):

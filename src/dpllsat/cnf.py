@@ -58,8 +58,9 @@ class CnfFormula:
     trivially_unsat: bool = False
 
     def __post_init__(self):
-        require(self.variables_count >= 0,
-                "variables_count must be nonnegative")
+        require(type(self.variables_count) is int  # a bool is not a count
+                and self.variables_count >= 0,
+                "variables_count must be an int >= 0")
         for clause in self.clauses:
             require(len(clause) > 0, "stored clauses must be nonempty")
             for lit in clause:
@@ -111,10 +112,14 @@ def build_formula(variables_count, raw_clauses):
     deduplication it cannot become empty, only genuinely empty input does)
     sets trivially_unsat.
 
-    The literals are range-checked here, a ValueError naming the first
-    one out of range, so the formula is built without CnfFormula's own
-    checks.
+    The variable count and the literals are checked here, before a clause
+    is read: a ValueError names a count that is not an int >= 0, or the
+    first literal out of range.  So the formula is built without
+    CnfFormula's own checks.
     """
+    if type(variables_count) is not int or variables_count < 0:
+        raise ValueError("variable count %r is not an int >= 0"
+                         % (variables_count,))
     raw_clauses = list(raw_clauses)
     # one check of the distinct literals, which are few
     distinct = set(chain.from_iterable(raw_clauses))

@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 
 from ._contracts import ContractError, require
-from .state import (TRUE, any_fully_false, first_open_clause,
-                    has_empty_clause, set_literal, undo_last_layer)
+from .state import (any_fully_false, first_open_clause, has_empty_clause,
+                    set_literal, undo_last_layer)
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,6 @@ def choose_literal(state, start=0):
     raise ContractError("no unsatisfied clause, nothing to decide")
 
 
-def complete_model(truth_assignment):
-    """Total assignment extending tau, unset variables defaulting to false."""
-    return tuple(value == TRUE for value in truth_assignment)
-
-
 def _decide(state, literal, value):
     """Open a decision layer and make `literal` evaluate to `value` on it."""
     if state.tracer is not None:
@@ -114,13 +109,15 @@ def _backtrack(state, before):
         raise ContractError("backtrack did not restore the state exactly")
 
 
-def _search(state, deadline, start):
+def _search(state, deadline):
     """Search below the current trail; return the verdict of that subtree.
 
-    `start` is the clause cursor of the first node.  Every layer this opens
-    is closed again before it returns, also on SAT and on UNKNOWN.
+    The first node's clause cursor is 0.  Every layer this opens is closed
+    again before it returns, also on SAT and on UNKNOWN.  A SAT model is
+    read off the positive literals' flags, so an unset variable is False.
     """
     tracer = state.tracer
+    start = 0
     frames = []  # (literal, cursor, on_false_branch, snapshot) per layer
     while True:
         # one search node
@@ -142,7 +139,9 @@ def _search(state, deadline, start):
                 continue
             if tracer is not None:
                 tracer.emit(("sat", tuple(state.truth_assignment)))
-            result = SolveResult(True, complete_model(state.truth_assignment))
+            n = state.formula.variables_count
+            model = tuple(map(bool, state.trail.is_true[1:n + 1]))
+            result = SolveResult(True, model)
         # close layers until one has its false branch still to search
         while frames:
             literal, start, on_false_branch, before = frames.pop()
@@ -170,7 +169,7 @@ def step(state, literal, value, deadline=None):
     entry = state.snapshot()
     try:
         _decide(state, literal, value)
-        result = _search(state, deadline, 0)
+        result = _search(state, deadline)
         _backtrack(state, entry if state.checked else None)
     except BaseException:
         state.restore(entry)
@@ -192,7 +191,7 @@ def solve(state, time_limit=None):
         deadline = time.monotonic() + time_limit
     entry = state.snapshot()
     try:
-        return _search(state, deadline, 0)
+        return _search(state, deadline)
     except BaseException:
         state.restore(entry)
         raise

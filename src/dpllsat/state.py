@@ -6,8 +6,9 @@ one flag per signed literal, `trail.is_true`, which it clears on a pop;
 `unset_count` is derived from its length and `truth_assignment` from the
 flags, and `snapshot` and `restore` save and bring back the trail and the
 conflict, all that a search writes.  `occurrences[literal]` lists the
-clauses that contain a literal, and like the flags it is indexed directly
-by the signed code.  Every write but a forced one goes through
+clauses that contain a literal, indexed like the flags by the signed
+code; it and `pair_sum` below come from `clause_tables`, which checked
+mode calls again.  Every write but a forced one goes through
 `Trail.push_entry`, the one checked write.
 
 No clause keeps a counter.  The paper's solver keeps a true and a false
@@ -35,33 +36,30 @@ from .trail import Trail, check_trail_invariants
 UNSET, FALSE, TRUE = -1, 0, 1  # the values of a truth assignment
 
 
-def occurrence_lists(formula):
-    """Clause indices per literal, ascending, indexed by the signed literal
-    code: 2n+1 slots, negative codes counting back from the end, slot 0
-    unused.  A literal that occurs gets its own list; every other slot
-    holds the one empty tuple, so memory follows the literals that occur,
-    not the variable count."""
+def clause_tables(formula):
+    """(occurrences, pair_sum), the formula's clause tables, in one pass.
+
+    `occurrences` holds the clause indices per literal, ascending, indexed
+    by the signed literal code: 2n+1 slots, negative codes counting back
+    from the end, slot 0 unused.  A literal that occurs gets its own list;
+    every other slot holds the one empty tuple, so memory follows the
+    literals that occur, not the variable count.  `pair_sum` holds `a + b`
+    per binary clause `(a, b)`, None per ternary clause and 0 per longer
+    one; None is one shared object, so the table costs no more memory.
+    """
     occurrences = [()] * (2 * formula.variables_count + 1)
+    pair_sum = []
     for index, clause in enumerate(formula.clauses):
+        length = len(clause)
+        pair_sum.append(clause[0] + clause[1] if length == 2
+                        else None if length == 3 else 0)
         for literal in clause:
             indices = occurrences[literal]
             if indices:
                 indices.append(index)
             else:
                 occurrences[literal] = [index]
-    return occurrences
-
-
-def pair_sums(clauses):
-    """`a + b` per binary clause `(a, b)`, None per ternary clause, 0 per
-    other clause.  None marks the clauses that propagation reads without a
-    loop; it is one shared object, so the table costs no more memory."""
-    sums = []
-    for clause in clauses:
-        length = len(clause)
-        sums.append(clause[0] + clause[1] if length == 2
-                    else None if length == 3 else 0)
-    return sums
+    return occurrences, pair_sum
 
 
 def _fully_false(is_true, clause):
@@ -86,10 +84,9 @@ class SolverState:
         self.formula = formula
         self.checked = checked
         self.trail = Trail(formula.variables_count)
-        self.pair_sum = pair_sums(formula.clauses)  # read-only
+        self.occurrences, self.pair_sum = clause_tables(formula)
         self.conflict = None  # index of the oldest fully-false clause
         self.tracer = None
-        self.occurrences = occurrence_lists(formula)
         self._derived_tables = None  # check_state_invariants' cache
         if checked:
             self.assert_valid()
@@ -309,10 +306,10 @@ def check_state_invariants(state):
     """Recompute everything from scratch and compare with the stored state.
 
     Covers the trail invariants, which include its literal flags, their
-    length against the formula's, the binary clauses' sums, the conflict
-    naming a fully-false clause, and the occurrence lists.  The first call
-    derives the sums and lists from the formula and caches them on the
-    state; each call compares the state's tables with them.  Returns a bool.
+    length against the formula's, the conflict naming a fully-false
+    clause, and the clause tables: the first call derives them with
+    `clause_tables`, as the constructor does, and caches them on the
+    state, and each call compares the state's with them.  Returns a bool.
     """
     formula = state.formula
     clauses = formula.clauses
@@ -322,13 +319,12 @@ def check_state_invariants(state):
     if len(is_true) != 2 * formula.variables_count + 1:
         return False
     if state._derived_tables is None:
-        state._derived_tables = (pair_sums(clauses), occurrence_lists(formula))
-    pair_sum, occurrences = state._derived_tables
-    if state.pair_sum != pair_sum:
+        state._derived_tables = clause_tables(formula)
+    if (state.occurrences, state.pair_sum) != state._derived_tables:
         return False
     conflict = state.conflict
     if conflict is not None and (conflict not in range(len(clauses))
                                  or not _fully_false(is_true,
                                                      clauses[conflict])):
         return False
-    return state.occurrences == occurrences
+    return True

@@ -1,10 +1,12 @@
-"""Mutation sweep over the solver's contract checks.
+"""Mutation sweep over the solver's contract and input checks.
 
 Each check in `state.py`, `trail.py` and `search.py` stands in for a
-static proof, so some test must fail without it.  The targets are every
-`raise ContractError(...)`, `require(...)` and `assert_valid()`
-statement, and every `return False` in the two invariant checkers.
-`_backtrack`'s snapshot comparison is the `raise` it guards.
+static proof, and each one in `cnf.py` and `oracle.py` rejects a bad
+input, so some test must fail without it.  The targets are every
+`raise` of a ContractError, DimacsError, ValueError or
+OracleCapExceeded, every `require(...)` and `assert_valid()` statement,
+and every `return False` in the two invariant checkers.  `_backtrack`'s
+snapshot comparison is the `raise` it guards.
 
 For each target in turn, the sweep copies `src/`, `tests/`, `bench/` and
 `pyproject.toml` into a temporary directory, replaces the target with
@@ -29,11 +31,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "dpllsat")
-MODULES = ("state.py", "trail.py", "search.py")
+# per module, the tests that kill most of its mutants, run first so that
+# -x stops early
+SEARCH_TESTS = ("test_trail.py", "test_state.py", "test_search.py",
+                "test_acceptance.py", "test_interrupts.py", "test_spec.py")
+INPUT_TESTS = ("test_cnf.py", "test_oracle.py", "test_cli.py")
+MODULES = {"state.py": SEARCH_TESTS, "trail.py": SEARCH_TESTS,
+           "search.py": SEARCH_TESTS, "cnf.py": INPUT_TESTS,
+           "oracle.py": INPUT_TESTS}
+RAISED = {"ContractError", "DimacsError", "ValueError", "OracleCapExceeded"}
 CHECKERS = {"check_state_invariants", "check_trail_invariants"}
-# the tests that kill most mutants run first, so -x stops early
-FIRST = ("test_trail.py", "test_state.py", "test_search.py",
-         "test_acceptance.py", "test_interrupts.py", "test_spec.py")
 TIMEOUT = 900  # seconds per run; a mutant that hangs counts as killed
 
 
@@ -42,7 +49,7 @@ def _is_target(node, function):
         call = node.exc
         return (isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Name)
-                and call.func.id == "ContractError")
+                and call.func.id in RAISED)
     if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
         func = node.value.func
         return ((isinstance(func, ast.Name) and func.id == "require")
@@ -84,10 +91,10 @@ def mutate(source, first, last, column):
     return "".join(lines)
 
 
-def run_tests(copy):
-    """True iff every test passes in the copy."""
+def run_tests(copy, first=SEARCH_TESTS):
+    """True iff every test passes in the copy; the `first` ones run first."""
     tests = sorted(p.name for p in (copy / "tests").glob("test_*.py"))
-    order = [name for name in FIRST if name in tests]
+    order = [name for name in first if name in tests]
     order += [name for name in tests if name not in order]
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
@@ -114,7 +121,7 @@ def main():
             print("the unmutated copy fails its tests")
             return 2
         survivors = []
-        for module in MODULES:
+        for module, first_tests in MODULES.items():
             path = copy / PACKAGE / module
             source = path.read_text()
             for first, last, column, function, text in targets(source):
@@ -122,7 +129,7 @@ def main():
                                          text.splitlines()[0])
                 started = time.monotonic()
                 path.write_text(mutate(source, first, last, column))
-                killed = not run_tests(copy)
+                killed = not run_tests(copy, first_tests)
                 path.write_text(source)
                 print("%-8s %5.1fs  %s" % ("killed" if killed else "SURVIVED",
                                            time.monotonic() - started, label),

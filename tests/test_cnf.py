@@ -53,6 +53,13 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="nonnegative"):
             parse_dimacs("p cnf -1 0\n")
 
+    def test_negative_clause_count_rejected(self):
+        # without the check the count would only disagree with the file,
+        # a warning
+        with pytest.raises(DimacsError, match="^line 1: clause count must "
+                                              "be nonnegative$"):
+            parse_dimacs("p cnf 1 -1\n")
+
     def test_comments_and_multiline_clauses(self):
         f = parse_dimacs("c hello\np cnf 3 1\nc mid\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
@@ -205,6 +212,26 @@ class TestUncheckedConstructor:
             formula.clauses = ()
 
 
+class TestVariableCount:
+    """A count that is not an int >= 0 is rejected by build_formula and by
+    CnfFormula alike; a bool is not a count."""
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True, False, "2", None])
+    def test_build_formula_rejects(self, count):
+        def unread():
+            raise AssertionError("a clause was read")
+            yield
+        with pytest.raises(ValueError, match="^variable count %s is not an "
+                                             "int >= 0$" % repr(count)):
+            build_formula(count, unread())
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True, False])
+    def test_formula_rejects(self, count):
+        with pytest.raises(ContractError, match="^variables_count must be "
+                                                "an int >= 0$"):
+            CnfFormula(count, ())
+
+
 class TestFirstErrorReported:
     """CnfFormula and build_formula name the same fault as a check of each
     clause and literal in order would."""
@@ -224,6 +251,13 @@ class TestFirstErrorReported:
         with pytest.raises(ValueError, match="^literal 0 out of range for 2 "
                                              "variables$"):
             build_formula(2, [[1], [0, 5]])
+
+    def test_batch_that_passes_a_second_reading_is_a_contract_error(self):
+        # the batch check and the line-by-line reading disagree only if one
+        # of them is wrong; the closing raise says so instead of returning
+        with pytest.raises(ContractError, match="^a check rejected "
+                                                "well-formed clause data$"):
+            cnf._raise_batch_error("1 -2 0", 1, 2)
 
     @given(st.integers(0, 3), st.lists(st.lists(st.integers(-4, 4),
                                                 max_size=4), max_size=5))

@@ -56,6 +56,18 @@ class TestIsSatisfiableExtend:
         f = build_formula(1, [[1], [-1]])
         assert not is_satisfiable_extend(f, [UNSET])
 
+    def test_cap_enforced(self):
+        # with no clause, the first completion tried satisfies it
+        f = build_formula(21, [])
+        with pytest.raises(OracleCapExceeded):
+            is_satisfiable_extend(f, [UNSET] * 21)
+        assert is_satisfiable_extend(f, [UNSET] * 21, cap=21)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="^partial assignment has wrong "
+                                             "length$"):
+            is_satisfiable_extend(example1(), [UNSET] * 6)
+
     def test_full_model_extends_itself(self):
         f = example1()
         tau = [1, 0, 0, 1, 1, 0, 1]

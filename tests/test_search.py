@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 import dpllsat.search
-from dpllsat import (TRUE, UNSET, ContractError, SolverState, Tracer,
+from dpllsat import (FALSE, TRUE, UNSET, ContractError, SolverState, Tracer,
                      brute_force, build_formula, build_state, check_model,
-                     check_state_invariants, choose_literal, complete_model,
+                     check_state_invariants, choose_literal,
                      is_formula_satisfied, is_satisfiable_extend, set_literal,
                      set_variable, solve, step)
 from dpllsat.cli import generate_pigeonhole, generate_queens
@@ -77,7 +77,7 @@ class TestSetLiteral:
         s.trail.new_layer()
         set_literal(s, 1, True)  # clause 2 becomes unit, forces x2
         assert s.truth_assignment == [TRUE, TRUE]
-        assert check_model(f, complete_model(s.truth_assignment))
+        assert check_model(f, tuple(map(bool, s.trail.is_true[1:3])))
 
     def test_already_set_rejected(self):
         s = build_state(example1())
@@ -263,15 +263,33 @@ class TestSolve:
 
 
 class TestCompleteModel:
+    """A SAT result's model is complete: it is read off the positive
+    literals' flags, so every variable left unset reads False."""
+
+    @staticmethod
+    def sat_leaf(formula):
+        """(the `sat` event's assignment, the result's model)."""
+        s = build_state(formula)
+        s.tracer = Tracer()
+        result = solve(s)
+        [sat] = [event for event in s.tracer.events if event[0] == "sat"]
+        return sat[1], result.model
+
     def test_unset_default_false(self):
-        assert complete_model([1, 0, 0, 1, 1, -1, -1]) == \
-            (True, False, False, True, True, False, False)
+        # deciding x3 satisfies the one clause; x1, x2 and x4 stay unset
+        tau, model = self.sat_leaf(build_formula(4, [[3]]))
+        assert tau == (UNSET, UNSET, TRUE, UNSET)
+        assert model == (False, False, True, False)
 
     def test_fully_set_identity(self):
-        assert complete_model([1, 0, 1]) == (True, False, True)
+        tau, model = self.sat_leaf(build_formula(3, [[1], [-2], [3]]))
+        assert tau == (TRUE, FALSE, TRUE)
+        assert model == (True, False, True)
 
     def test_all_unset(self):
-        assert complete_model([-1, -1]) == (False, False)
+        tau, model = self.sat_leaf(build_formula(2, []))
+        assert tau == (UNSET, UNSET)
+        assert model == (False, False)
 
 
 class TestSearchProperties:
